@@ -18,17 +18,22 @@ import numpy as np
 from .field import FieldCtx
 
 
-def monic_block(ctx: FieldCtx, n: int, start: int, stop: int) -> np.ndarray:
-    """Coefficient rows for monic index range [start, stop)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, n), dtype=np.int64)
+def index_rows(idx: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Coefficient rows (width n) of the little-endian indices idx: the
+    base-p digits, lowest first."""
+    out = np.empty((idx.size, n), dtype=np.int64)
     for j in range(n):
-        idx, out[:, j] = np.divmod(idx, ctx.p)
+        idx, out[:, j] = np.divmod(idx, p)
     return out
 
 
+def monic_block(ctx: FieldCtx, n: int, start: int, stop: int) -> np.ndarray:
+    """Coefficient rows for monic index range [start, stop)."""
+    return index_rows(np.arange(start, stop, dtype=np.int64), n, ctx.p)
+
+
 def block_index(block: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of monic_block: little-endian index of each row."""
+    """Inverse of index_rows: little-endian index of each row."""
     idx = np.zeros(block.shape[0], dtype=np.int64)
     for j in range(block.shape[1] - 1, -1, -1):
         idx = idx * p + block[:, j]
@@ -88,28 +93,20 @@ def compose_mod(outer: np.ndarray, inner: np.ndarray, f_low: np.ndarray, p: int)
 def x_power_q_mod(f_low: np.ndarray, p: int) -> np.ndarray:
     """x^p mod f rowwise, by square and multiply on the exponent p."""
     rows, n = f_low.shape
-    if p < n:
-        out = np.zeros((rows, n), dtype=np.int64)
-        out[:, p] = 1
-        return out
-    # start from x^n = -f_low and absorb remaining exponent bits
-    bits = bin(p)[2:]
-    # find prefix of bits giving value < n... simpler: repeated doubling from x
     g = np.zeros((rows, n), dtype=np.int64)
+    if p < n:
+        g[:, p] = 1
+        return g
     if n == 1:
-        g[:, 0] = pow_mod_scalar_roots(f_low, p)
+        # f = x + c: x = -c mod f, and (-c)^p = -c in F_p
+        g[:, 0] = (-f_low[:, 0]) % p
         return g
     g[:, 1] = 1  # g = x
-    for bit in bits[1:]:
+    for bit in bin(p)[3:]:
         g = block_mulmod(g, g, f_low, p)
         if bit == "1":
             g = mul_by_x_mod(g, f_low, p)
     return g
-
-
-def pow_mod_scalar_roots(f_low: np.ndarray, p: int) -> np.ndarray:
-    # n = 1: f = x + c, x = -c mod f; x^p = (-c)^p = -c in F_p
-    return (-f_low[:, 0]) % p
 
 
 def frobenius_mod(f_low: np.ndarray, p: int, dmax: int) -> list[np.ndarray]:
@@ -274,26 +271,32 @@ def batch_gcd_degree(A: np.ndarray, dA: np.ndarray, B: np.ndarray, dB: np.ndarra
             dB[zeroA] = -1
 
 
+def reduce_rows(rows: np.ndarray, q_low: np.ndarray, p: int) -> np.ndarray:
+    """Rows of reduced coefficients (degrees 0..w-1, any leading term)
+    reduced mod the single monic modulus Q = x^m + q_low; returns (rows, m)
+    residues.  rows is consumed."""
+    nrows, w = rows.shape
+    m = q_low.shape[0]
+    if w <= m:
+        out = np.zeros((nrows, m), dtype=np.int64)
+        out[:, :w] = rows
+        return out % p
+    for k in range(w - 1, m - 1, -1):
+        t = rows[:, k] % p
+        rows[:, k - m : k] -= t[:, None] * q_low
+        if k > m:
+            rows[:, k - m : k] %= p
+    return rows[:, :m] % p
+
+
 def reduce_mod(block: np.ndarray, q_low: np.ndarray, p: int) -> np.ndarray:
     """Monic rows x^n + block reduced mod the single monic modulus
     Q = x^m + q_low; returns (rows, m) residues."""
     rows, n = block.shape
-    m = q_low.shape[0]
-    if n < m:
-        out = np.zeros((rows, m), dtype=np.int64)
-        out[:, :n] = block
-        out[:, n] += 1
-        return out % p
     work = np.empty((rows, n + 1), dtype=np.int64)
     work[:, :n] = block
     work[:, n] = 1
-    for k in range(n, m - 1, -1):
-        t = work[:, k] % p
-        work[:, k - m : k] -= t[:, None] * q_low
-        work[:, k] = 0
-        if k > m:
-            work[:, k - m : k] %= p
-    return work[:, :m] % p
+    return reduce_rows(work, q_low, p)
 
 
 # irreducibility and factorization statistics ----------------------------------

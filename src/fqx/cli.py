@@ -30,7 +30,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -527,9 +526,6 @@ def _common(p, fmt_default="json"):
     p.add_argument("--budget", type=int, default=10**8,
                    help="cap on enumerated rows; exceeding it is an error, "
                         "never a silent truncation (default 10^8)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP threads, best effort "
-                        "(default: all cores)")
     p.add_argument("--format", choices=("json", "csv"), default=fmt_default,
                    help=f"output format (default {fmt_default})")
     p.add_argument("--out", metavar="PATH", default=None,
@@ -849,23 +845,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_threads(threads):
-    if not threads:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except Exception:
-        pass
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.run(args)
     except BudgetExceeded as e:

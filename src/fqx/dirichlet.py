@@ -32,63 +32,21 @@ from .errors import (
     TrivialCharacter,
     UnsupportedModulusShape,
 )
-from .field import FieldCtx, make_field
+from .field import FieldCtx, factor_int, make_field
 from .polyring import Poly, factor, powmod
 
 ROOT_TOL = 1e-6
 COEFF_TOL = 1e-9
 
 
-def _trial_factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _primitive_root(p: int) -> int:
     if p == 2:
         return 1
-    primes = list(_trial_factor(p - 1))
+    primes = list(factor_int(p - 1))
     for c in range(2, p):
         if all(pow(c, (p - 1) // ell, p) != 1 for ell in primes):
             return c
     raise RuntimeError("unreachable for prime p")
-
-
-def _mul_block_fixed(C: np.ndarray, g: np.ndarray, q_low: np.ndarray, p: int) -> np.ndarray:
-    """Rows of residues (deg < m) times a fixed residue g, mod monic
-    Q = x^m + q_low."""
-    rows, m = C.shape
-    acc = np.zeros((rows, 2 * m - 1), dtype=np.int64)
-    for j in range(m):
-        if g[j]:
-            acc[:, j : j + m] += C * int(g[j])
-    for k in range(2 * m - 2, m - 1, -1):
-        t = acc[:, k] % p
-        acc[:, k - m : k] -= t[:, None] * q_low
-    return acc[:, :m] % p
-
-
-def _index_rows(idx: np.ndarray, m: int, p: int) -> np.ndarray:
-    idx = idx.copy()
-    out = np.empty((idx.size, m), dtype=np.int64)
-    for j in range(m):
-        idx, out[:, j] = np.divmod(idx, p)
-    return out
-
-
-def _rows_index(rows: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1] - 1, -1, -1):
-        out = out * p + rows[:, j]
-    return out
 
 
 class DirichletGroup:
@@ -128,10 +86,11 @@ class DirichletGroup:
             for j, c in enumerate(G.coeffs):
                 gc[j] = c
             blocks = [indices]
-            cur = _index_rows(indices, m, p)
+            cur = _batch.index_rows(indices, m, p)
             for _ in range(d - 1):
-                cur = _mul_block_fixed(cur, gc, self.q_low, p)
-                blocks.append(_rows_index(cur, p))
+                cur = _batch.block_mulmod(cur, np.broadcast_to(gc, cur.shape),
+                                          self.q_low, p)
+                blocks.append(_batch.block_index(cur, p))
             indices = np.concatenate(blocks)
         if indices.size != self.phi or np.unique(indices).size != self.phi:
             raise UnsupportedModulusShape(
@@ -185,25 +144,8 @@ class DirichletGroup:
         """Coefficient lattices: tables[n][c] = conj(c_n(chi_c)) for all
         characters at once, n = 0..deg Q - 1."""
         if self._dft is None:
-            self._dft = [self.character_transform(n, None) for n in range(self.Q.degree)]
+            self._dft = [_character_fft(self, n, None) for n in range(self.Q.degree)]
         return self._dft
-
-    def character_transform(self, n: int, weights) -> np.ndarray:
-        """fftn of the (optionally weighted) indicator of monic degree-n
-        residues over the exponent lattice, for n < deg Q (such f are their
-        own residues).  Entry [c] is conj(sum_f w(f) chi_c(f)) over f
-        coprime to Q."""
-        p = self.ctx.p
-        if n >= self.Q.degree:
-            raise PreconditionError("character_transform needs n < deg Q")
-        res = np.arange(p**n, 2 * p**n, dtype=np.int64)
-        posn = self.pos[res]
-        mask = posn >= 0
-        digs = self.digits[res[mask]]
-        W = np.zeros(self.orders if self.orders else (1,), dtype=complex)
-        w = weights[mask] if weights is not None else np.ones(mask.sum())
-        np.add.at(W, tuple(digs.T) if self.orders else (np.zeros(digs.shape[0], int),), w)
-        return np.fft.fftn(W.reshape(self.orders if self.orders else (1,)))
 
 
 def build_unit_group(Q: Poly, seed: int = 0, budget: int = 10**8) -> DirichletGroup:
@@ -250,7 +192,7 @@ def build_unit_group(Q: Poly, seed: int = 0, budget: int = 10**8) -> DirichletGr
     for P in primes:
         d = P.degree
         order = p**d - 1
-        ell_list = list(_trial_factor(order)) if order > 1 else []
+        ell_list = list(factor_int(order))
         g = None
         if order == 1:
             g = Poly.one(ctx)
@@ -519,7 +461,7 @@ def _monic_residue_indices(group: DirichletGroup, n: int) -> np.ndarray:
         return _RESIDUE_CACHE[key]
     block = _batch.monic_block(group.ctx, n, 0, p**n)
     res = _batch.reduce_mod(block, group.q_low, p)
-    idx = _rows_index(res, p)
+    idx = _batch.block_index(res, p)
     if len(_RESIDUE_CACHE) > 16:
         _RESIDUE_CACHE.clear()
     _RESIDUE_CACHE[key] = idx
@@ -555,16 +497,19 @@ def weighted_character_sums(group: DirichletGroup, n: int, weight: str = "unit",
     p = group.ctx.p
     if budget is not None and p**n > budget:
         raise BudgetExceeded(f"q^n = {p**n} exceeds budget {budget}")
+    return np.conj(_character_fft(group, n, _weights_over_monic(group.ctx, n, weight, k)))
+
+
+def _character_fft(group: DirichletGroup, n: int, wt: np.ndarray | None) -> np.ndarray:
+    """fftn over the exponent lattice of the weights wt over M_n (None means
+    all ones); entry [c] is conj(sum of wt(f) chi_c(f) over f in M_n)."""
     res = _monic_residue_indices(group, n)
-    posn = group.pos[res]
-    mask = posn >= 0
+    mask = group.pos[res] >= 0
     digs = group.digits[res[mask]]
-    wt = _weights_over_monic(group.ctx, n, weight, k)
-    w = wt[mask].astype(complex) if wt is not None else np.ones(int(mask.sum()), dtype=complex)
-    shape = group.orders if group.orders else (1,)
-    W = np.zeros(shape, dtype=complex)
+    w = wt[mask] if wt is not None else np.ones(int(mask.sum()))
+    W = np.zeros(group.orders if group.orders else (1,), dtype=complex)
     np.add.at(W, tuple(digs.T) if group.orders else (np.zeros(digs.shape[0], int),), w)
-    return np.conj(np.fft.fftn(W))
+    return np.fft.fftn(W)
 
 
 def explicit_formula_check(n: int, chi: DirichletCharacter,
@@ -684,8 +629,8 @@ def katz_average(N: int, q: int, statistic, samples: int = 100_000,
     conjugacy classes of all even primitive characters mod x^{N+2}, with the
     Haar Monte Carlo reference over U(N).
 
-    The statistic must be invariant under scalar rotation (caller contract;
-    see StatisticNotCenterInvariant).
+    The statistic must be invariant under scalar rotation; this is the
+    caller's contract and is not checked.
     """
     if N < 2:
         raise PreconditionError("N >= 2 required")

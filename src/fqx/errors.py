@@ -73,10 +73,6 @@ class RootFindingDidNotConverge(FqxError):
     """Companion-matrix and Durand-Kerner roots disagree beyond tolerance."""
 
 
-class StatisticNotCenterInvariant(PreconditionError):
-    """Declared caller contract for Katz averages (not detected at runtime)."""
-
-
 class NotCoprime(PreconditionError):
     """Residue class is not coprime to the modulus."""
 

@@ -10,10 +10,18 @@ the report is informational with verdict None.
 Exact identities (mean of psi equal to H, frequencies summing to one, the
 vanishing of Delta_k above the critical band) are computed in integer or
 rational arithmetic and checked with zero tolerance.
+
+Every walk over M_n goes through one generator, `_scan`: all of M_n in
+index order, whole interval classes I(A;h), or seeded random rows, in
+shards of about `_SHARD` rows, with the q^n work budget checked there and
+nowhere else.  Each experiment is a reduction over those shards, and
+`_timed` stamps the report's `millis` with the wall time of the whole call.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -35,7 +43,7 @@ from .errors import (
     PreconditionError,
     ZeroShift,
 )
-from .field import FieldCtx, make_field
+from .field import FieldCtx, int_mobius, make_field
 from .polyring import (
     CycleType,
     Poly,
@@ -67,28 +75,27 @@ class ExperimentReport:
     normalized_error: float | None
     verdict: bool | None
     provenance: str
-    seed: int | None
-    mode: str
-    samples: int | None
-    millis: float
+    seed: int | None = None
+    mode: str = "exhaustive"
+    samples: int | None = None
+    millis: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "empirical": self.empirical,
-            "predicted": self.predicted,
-            "abs_error": self.abs_error,
-            "normalized_error": self.normalized_error,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-            "seed": self.seed,
-            "mode": self.mode,
-            "samples": self.samples,
-            "millis": self.millis,
-            "extra": self.extra,
-        }
+        return dataclasses.asdict(self)
+
+
+def _timed(fn):
+    """Stamp the returned report's millis with the wall time of the call."""
+
+    @functools.wraps(fn)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        rep = fn(*args, **kwargs)
+        rep.millis = (time.perf_counter() - t0) * 1000
+        return rep
+
+    return timed
 
 
 @dataclass(frozen=True)
@@ -150,27 +157,12 @@ def cauchy_probability(lam: CycleType) -> Fraction:
     return Fraction(1, denom)
 
 
-def _int_mobius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def necklace_count(q: int, n: int) -> int:
     """Number of monic irreducibles of degree n: (1/n) sum mu(d) q^{n/d}."""
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _int_mobius(d) * q ** (n // d)
+            total += int_mobius(d) * q ** (n // d)
     return total // n
 
 
@@ -184,7 +176,58 @@ def euler_phi_poly(Q: Poly) -> int:
     return phi
 
 
-# class-sum engine ------------------------------------------------------------------
+# scan engine -----------------------------------------------------------------------
+
+
+def _scan(ctx: FieldCtx, n: int, budget: int, classes: np.ndarray | None = None,
+          h: int = 0, samples: int | None = None, seed: int = 0):
+    """Shards (rows, index) of about _SHARD monic degree-n rows.
+
+    By default all of M_n in index order.  With classes (sorted class
+    indices), the whole interval classes I(A;h) of those classes, in class
+    order, each shard holding whole classes.  With samples, that many rows
+    drawn shard by shard from default_rng(seed), indices unsorted.  An
+    exhaustive or class scan over budget rows raises BudgetExceeded here,
+    before any work.
+    """
+    p = ctx.p
+    total = p**n
+    H = p ** (h + 1)
+    if samples is None and classes is None and total > budget:
+        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
+    if samples is None and classes is not None and classes.size * H > budget:
+        raise BudgetExceeded(
+            f"{classes.size} classes of size {H} exceed budget {budget}")
+
+    def shards():
+        if samples is not None:
+            rng = np.random.default_rng(seed)
+            for got in range(0, samples, _SHARD):
+                idx = rng.integers(0, total, size=min(samples - got, _SHARD))
+                yield _batch.index_rows(idx, n, p), idx
+        elif classes is None:
+            for start in range(0, total, _SHARD):
+                stop = min(start + _SHARD, total)
+                yield (_batch.monic_block(ctx, n, start, stop),
+                       np.arange(start, stop, dtype=np.int64))
+        else:
+            offsets = np.arange(H, dtype=np.int64)
+            chunk = max(1, _SHARD // H)
+            for i0 in range(0, classes.size, chunk):
+                idx = (classes[i0 : i0 + chunk, None] * H + offsets).ravel()
+                yield _batch.index_rows(idx, n, p), idx
+
+    return shards()
+
+
+def _exhaustive(mode: str, other: str = "sampled") -> bool:
+    """True for "exhaustive", False for the experiment's other mode."""
+    if mode not in ("exhaustive", other):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "exhaustive"
+
+
+# class sums ------------------------------------------------------------------------
 
 
 def _lambda_weight(ctx: FieldCtx, n: int):
@@ -237,40 +280,18 @@ def _class_sums(ctx: FieldCtx, n: int, h: int, weight, classes: np.ndarray | Non
     means all q^{n-h-1} classes (exhaustive); otherwise sums for the given
     sorted classes, in order.
     """
-    p = ctx.p
-    H = p ** (h + 1)
-    nclasses = p ** (n - h - 1)
+    H = ctx.p ** (h + 1)
     if classes is None:
-        total = p**n
-        if total > budget:
-            raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-        out = np.zeros(nclasses, dtype=np.int64)
-        start = 0
-        while start < total:
-            stop = min(start + _SHARD, total)
-            blk = _batch.monic_block(ctx, n, start, stop)
-            idx = np.arange(start, stop, dtype=np.int64)
-            w = weight(blk, idx)
-            first = start // H
-            local = np.bincount(idx // H - first, weights=w.astype(np.float64),
-                                minlength=(stop - 1) // H - first + 1)
+        out = np.zeros(ctx.p ** (n - h - 1), dtype=np.int64)
+        for blk, idx in _scan(ctx, n, budget):
+            w = weight(blk, idx).astype(np.float64)
+            first = int(idx[0]) // H
+            local = np.bincount(idx // H - first, weights=w)
             out[first : first + local.size] += np.rint(local).astype(np.int64)
-            start = stop
         return out
-    if classes.size * H > budget:
-        raise BudgetExceeded(
-            f"{classes.size} classes of size {H} exceed budget {budget}")
-    sums = np.empty(classes.size, dtype=np.int64)
-    chunk = max(1, _SHARD // H)
-    for i0 in range(0, classes.size, chunk):
-        cls = classes[i0 : i0 + chunk]
-        blk = np.concatenate(
-            [_batch.monic_block(ctx, n, int(C) * H, (int(C) + 1) * H) for C in cls])
-        idx = np.concatenate(
-            [np.arange(int(C) * H, (int(C) + 1) * H, dtype=np.int64) for C in cls])
-        w = weight(blk, idx)
-        sums[i0 : i0 + cls.size] = w.reshape(cls.size, H).sum(axis=1)
-    return sums
+    parts = [weight(blk, idx).reshape(-1, H).sum(axis=1)
+             for blk, idx in _scan(ctx, n, budget, classes=classes, h=h)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
 def _mean_var(sums: np.ndarray) -> tuple[Fraction, Fraction]:
@@ -289,15 +310,6 @@ def _relative(value, target: float) -> float:
     return abs(float(value) / target - 1.0) if target else math.inf
 
 
-def _random_rows(rng, q: int, n: int, count: int) -> np.ndarray:
-    idx = rng.integers(0, q**n, size=count)
-    rows = np.empty((count, n), dtype=np.int64)
-    v = idx.copy()
-    for j in range(n):
-        v, rows[:, j] = np.divmod(v, q)
-    return rows
-
-
 def _shifted_block(blk: np.ndarray, s: Poly) -> np.ndarray:
     out = blk.copy()
     for j, c in enumerate(s.coeffs):
@@ -308,30 +320,20 @@ def _shifted_block(blk: np.ndarray, s: Poly) -> np.ndarray:
 # experiments ----------------------------------------------------------------------
 
 
+@_timed
 def exp_prime_count(q: int, n: int, mode: str = "exhaustive",
                     budget: int = 10**8) -> ExperimentReport:
     """pi_q(n) by exhaustive irreducibility testing, cross-checked against
     the necklace formula, and compared to the main term q^n/n."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     neck = necklace_count(q, n)
-    if mode == "exhaustive":
-        total = q**n
-        if total > budget:
-            raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-        pi = 0
-        start = 0
-        while start < total:
-            stop = min(start + _SHARD, total)
-            pi += int(_batch.batch_is_irreducible(
-                _batch.monic_block(ctx, n, start, stop), ctx).sum())
-            start = stop
+    if _exhaustive(mode, "necklace_only"):
+        pi = sum(int(_batch.batch_is_irreducible(blk, ctx).sum())
+                 for blk, _ in _scan(ctx, n, budget))
         routes_agree = pi == neck
-    elif mode == "necklace_only":
+    else:
         pi = neck
         routes_agree = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     main = q**n / n
     abs_err = abs(pi - main)
     norm = abs_err / q ** (n / 2)
@@ -345,10 +347,7 @@ def exp_prime_count(q: int, n: int, mode: str = "exhaustive",
         normalized_error=norm,
         verdict=verdict,
         provenance="prime polynomial theorem; necklace-count Mobius inversion (Gauss)",
-        seed=None,
         mode=mode,
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
         extra={} if routes_agree is None else {"routes_agree": routes_agree},
     )
 
@@ -357,17 +356,11 @@ def _interval_count_report(experiment, q, n, h, per_class_target, weight,
                            mode, intervals, seed, budget, provenance,
                            extra0=None):
     """Shared core of the per-interval counting experiments."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not 0 <= h < n:
         raise DegreeOutOfRange("need 0 <= h < n")
     nclasses = q ** (n - h - 1)
-    if mode == "exhaustive":
-        classes = None
-    elif mode == "sampled":
-        classes = _sample_classes(nclasses, intervals, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    classes = None if _exhaustive(mode) else _sample_classes(nclasses, intervals, seed)
     counts = _class_sums(ctx, n, h, weight, classes, budget)
     target = float(per_class_target)
     max_abs = float(np.abs(counts - target).max())
@@ -393,11 +386,11 @@ def _interval_count_report(experiment, q, n, h, per_class_target, weight,
         seed=seed,
         mode=mode,
         samples=None if classes is None else int(classes.size),
-        millis=(time.perf_counter() - t0) * 1000,
         extra=extra,
     )
 
 
+@_timed
 def exp_interval_primes(q: int, n: int, h: int, mode: str = "sampled",
                         intervals: int = 5, seed: int = 0,
                         budget: int = 10**8) -> ExperimentReport:
@@ -441,6 +434,7 @@ def _type_id_lookup(ctx: FieldCtx, n: int, lams: list):
     return ids
 
 
+@_timed
 def exp_interval_cycles(q: int, n: int, h: int, lam, mode: str = "sampled",
                         intervals: int = 5, seed: int = 0,
                         budget: int = 10**8) -> ExperimentReport:
@@ -451,17 +445,12 @@ def exp_interval_cycles(q: int, n: int, h: int, lam, mode: str = "sampled",
     if lam.n != n:
         raise DegreeOutOfRange("partition degree must match n")
     plam = cauchy_probability(lam)
-    target = np.array(lam.lam, dtype=np.int64)
+    lams = list(partitions(n))
+    ids = _type_id_lookup(ctx, n, lams)
+    target = lams.index(lam)
 
-    if n <= 5:
-        def weight(blk, idx):
-            return (_batch.batch_cycle_types(blk, ctx) == target).all(
-                axis=1).astype(np.int64)
-    else:
-        def weight(blk, idx):
-            return np.array(
-                [int(cycle_type(Poly(ctx, list(r) + [1])).lam == lam.lam)
-                 for r in blk], dtype=np.int64)
+    def weight(blk, idx):
+        return (ids(blk) == target).astype(np.int64)
 
     H = q ** (h + 1)
     rep = _interval_count_report(
@@ -474,23 +463,17 @@ def exp_interval_cycles(q: int, n: int, h: int, lam, mode: str = "sampled",
     return rep
 
 
+@_timed
 def exp_cycle_census(q: int, n: int, budget: int = 10**8) -> ExperimentReport:
     """Full cycle-type distribution over M_n against the Cauchy measure,
     in exact rational arithmetic."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     lams = list(partitions(n))
     ids = _type_id_lookup(ctx, n, lams)
     counts = np.zeros(len(lams), dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + _SHARD, total)
-        counts += np.bincount(
-            ids(_batch.monic_block(ctx, n, start, stop)), minlength=len(lams))
-        start = stop
+    for blk, _ in _scan(ctx, n, budget):
+        counts += np.bincount(ids(blk), minlength=len(lams))
+    total = q**n
     freqs = [Fraction(int(c), total) for c in counts]
     devs = [abs(fr - cauchy_probability(lam)) for fr, lam in zip(freqs, lams)]
     maxdev = max(devs)
@@ -504,10 +487,6 @@ def exp_cycle_census(q: int, n: int, budget: int = 10**8) -> ExperimentReport:
         normalized_error=float(maxdev * q),
         verdict=verdict,
         provenance="Cauchy cycle-type measure; equidistribution with O(1/q) error",
-        seed=None,
-        mode="exhaustive",
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
         extra={
             "frequencies_sum_to_one": sum(freqs) == 1,
             "table": {
@@ -524,31 +503,24 @@ def exp_cycle_census(q: int, n: int, budget: int = 10**8) -> ExperimentReport:
     )
 
 
+@_timed
 def exp_ap_primes(q: int, n: int, Q: Poly, A: Poly,
                   budget: int = 10**8) -> ExperimentReport:
     """pi_q(n; Q, A) by enumeration against pi_q(n)/Phi(Q)."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     Q = Q.monic()
     if gcd(A, Q).degree != 0:
         raise NotCoprime("A must be coprime to Q")
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     m = Q.degree
     q_low = np.array(Q.coeffs[:m], dtype=np.int64)
     a_row = np.zeros(m, dtype=np.int64)
     for j, c in enumerate((A % Q).coeffs):
         a_row[j] = c
     count = 0
-    start = 0
-    while start < total:
-        stop = min(start + _SHARD, total)
-        blk = _batch.monic_block(ctx, n, start, stop)
+    for blk, _ in _scan(ctx, n, budget):
         hit = (_batch.reduce_mod(blk, q_low, q) == a_row).all(axis=1)
         if hit.any():
             count += int(_batch.batch_is_irreducible(blk[hit], ctx).sum())
-        start = stop
     pi = necklace_count(q, n)
     phi = euler_phi_poly(Q)
     pred = pi / phi
@@ -571,19 +543,14 @@ def exp_ap_primes(q: int, n: int, Q: Poly, A: Poly,
         verdict=verdict,
         provenance="primes in progressions: pi/Phi with O(q^{-1/2}) relative "
                    "error for deg Q <= n-3 (Bank, Bary-Soroker and Rosenzweig)",
-        seed=None,
-        mode="exhaustive",
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
-        extra={},
     )
 
 
+@_timed
 def exp_chowla(q: int, n: int, shifts: ShiftTuple, mode: str = "exhaustive",
                samples: int = 200_000, seed: int = 0,
                budget: int = 10**8) -> ExperimentReport:
     """Mobius correlation sum S = sum over M_n of prod mu(F + a_i)^{e_i}."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not ctx.odd:
         raise EvenCharacteristic("the correlation bound needs odd q")
@@ -601,32 +568,15 @@ def exp_chowla(q: int, n: int, shifts: ShiftTuple, mode: str = "exhaustive",
             prod *= mu * mu if e == 2 else mu
         return prod
 
-    total = q**n
-    if mode == "exhaustive":
-        if total > budget:
-            raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-        S = 0
-        start = 0
-        while start < total:
-            stop = min(start + _SHARD, total)
-            S += int(row_products(_batch.monic_block(ctx, n, start, stop)).sum())
-            start = stop
-        nrows = None
-    elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        acc = 0
-        got = 0
-        while got < samples:
-            take = min(samples - got, _SHARD)
-            acc += int(row_products(_random_rows(rng, q, n, take)).sum())
-            got += take
-        S = acc * total / samples
-        nrows = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    exhaustive = _exhaustive(mode)
+    nrows = None if exhaustive else samples
+    S = sum(int(row_products(blk).sum())
+            for blk, _ in _scan(ctx, n, budget, samples=nrows, seed=seed))
+    if not exhaustive:
+        S = S * q**n / samples
     norm = abs(S) / q ** (n - 0.5)
     if shifts.r == 1:
-        verdict = (S == 0) if mode == "exhaustive" else None
+        verdict = (S == 0) if exhaustive else None
     else:
         verdict = norm <= 5
     return ExperimentReport(
@@ -644,33 +594,24 @@ def exp_chowla(q: int, n: int, shifts: ShiftTuple, mode: str = "exhaustive",
         seed=seed,
         mode=mode,
         samples=nrows,
-        millis=(time.perf_counter() - t0) * 1000,
-        extra={},
     )
 
 
+@_timed
 def exp_twin(q: int, n: int, shifts: ShiftTuple,
              budget: int = 10**8) -> ExperimentReport:
     """Simultaneous irreducibility of f + a_1, ..., f + a_r against q^n/n^r."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     shifts.check_degrees(n)
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     count = 0
-    start = 0
-    while start < total:
-        stop = min(start + _SHARD, total)
-        blk = _batch.monic_block(ctx, n, start, stop)
+    for blk, _ in _scan(ctx, n, budget):
         ok = np.ones(blk.shape[0], dtype=bool)
         for s in shifts.shifts:
             ok &= _batch.batch_is_irreducible(_shifted_block(blk, s), ctx)
             if not ok.any():
                 break
         count += int(ok.sum())
-        start = stop
-    pred = total / n**shifts.r
+    pred = q**n / n**shifts.r
     rel = _relative(count, pred)
     verdict = (rel <= 0.5) if pred >= 10 else None
     return ExperimentReport(
@@ -684,11 +625,6 @@ def exp_twin(q: int, n: int, shifts: ShiftTuple,
         verdict=verdict,
         provenance="twin prime analogue: ~ q^n/n^r simultaneous irreducibles "
                    "(Hardy-Littlewood heuristic; Bender-Pollack, Bary-Soroker)",
-        seed=None,
-        mode="exhaustive",
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
-        extra={},
     )
 
 
@@ -698,11 +634,11 @@ def _divisor_r_rows(ctx: FieldCtx, blk: np.ndarray, r: int) -> np.ndarray:
     return _batch.batch_divisor_k(blk, ctx, r)
 
 
+@_timed
 def exp_divisor_corr(q: int, n: int, r: int, shift: Poly,
                      mode: str = "exhaustive", samples: int = 200_000,
                      seed: int = 0, budget: int = 10**8) -> ExperimentReport:
     """Mean of d_r(f) d_r(f + shift) over M_n against binom(n+r-1, r-1)^2."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not ctx.odd:
         raise EvenCharacteristic("the correlation theorem needs odd q")
@@ -710,36 +646,16 @@ def exp_divisor_corr(q: int, n: int, r: int, shift: Poly,
         raise ZeroShift("shift must be nonzero")
     if shift.degree >= n:
         raise DegreeOutOfRange("need n > deg shift")
-    total = q**n
 
     def pair_products(blk: np.ndarray) -> np.ndarray:
         a = _divisor_r_rows(ctx, blk, r)
         b = _divisor_r_rows(ctx, _shifted_block(blk, shift), r)
         return a * b
 
-    if mode == "exhaustive":
-        if total > budget:
-            raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-        acc = 0
-        start = 0
-        while start < total:
-            stop = min(start + _SHARD, total)
-            acc += int(pair_products(_batch.monic_block(ctx, n, start, stop)).sum())
-            start = stop
-        mean = Fraction(acc, total)
-        nrows = None
-    elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        acc = 0
-        got = 0
-        while got < samples:
-            take = min(samples - got, _SHARD)
-            acc += int(pair_products(_random_rows(rng, q, n, take)).sum())
-            got += take
-        mean = Fraction(acc, samples)
-        nrows = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    nrows = None if _exhaustive(mode) else samples
+    acc = sum(int(pair_products(blk).sum())
+              for blk, _ in _scan(ctx, n, budget, samples=nrows, seed=seed))
+    mean = Fraction(acc, q**n if nrows is None else nrows)
     pred = math.comb(n + r - 1, r - 1) ** 2
     abs_err = abs(float(mean) - pred)
     verdict = abs_err <= max(1.0, 10 / math.sqrt(q))
@@ -757,16 +673,14 @@ def exp_divisor_corr(q: int, n: int, r: int, shift: Poly,
         seed=seed,
         mode=mode,
         samples=nrows,
-        millis=(time.perf_counter() - t0) * 1000,
-        extra={},
     )
 
 
+@_timed
 def exp_joint_cycles(q: int, n: int, alpha: Poly,
                      budget: int = 10**8) -> ExperimentReport:
     """Joint cycle-type distribution of (f, f + alpha) against the product
     of Cauchy measures, in exact rational arithmetic."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not ctx.odd:
         raise EvenCharacteristic("independence statement needs odd q")
@@ -774,21 +688,13 @@ def exp_joint_cycles(q: int, n: int, alpha: Poly,
         raise ZeroShift("alpha must be nonzero")
     if alpha.degree >= n:
         raise DegreeOutOfRange("need deg alpha < n")
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     lams = list(partitions(n))
     ids = _type_id_lookup(ctx, n, lams)
     L = len(lams)
     joint = np.zeros((L, L), dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + _SHARD, total)
-        blk = _batch.monic_block(ctx, n, start, stop)
-        ta = ids(blk)
-        tb = ids(_shifted_block(blk, alpha))
-        np.add.at(joint, (ta, tb), 1)
-        start = stop
+    for blk, _ in _scan(ctx, n, budget):
+        np.add.at(joint, (ids(blk), ids(_shifted_block(blk, alpha))), 1)
+    total = q**n
     probs = [cauchy_probability(lam) for lam in lams]
     maxdev = Fraction(0)
     for i in range(L):
@@ -810,10 +716,6 @@ def exp_joint_cycles(q: int, n: int, alpha: Poly,
         verdict=verdict,
         provenance="asymptotic independence of the factorization types of f "
                    "and f + alpha as q grows",
-        seed=None,
-        mode="exhaustive",
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
         extra={"marginals_symmetric": marginals_symmetric,
                "both_prime_count": int(joint[ncycle, ncycle])},
     )
@@ -822,19 +724,13 @@ def exp_joint_cycles(q: int, n: int, alpha: Poly,
 def _variance_report(experiment, q, n, h, weight, pred_ratio, mode, intervals,
                      seed, budget, provenance, mean_should_be=None,
                      in_theorem_range=None):
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not 0 <= h <= n - 2:
         raise DegreeOutOfRange(
             "variance needs 0 <= h <= n-2 (at least two interval classes)")
     H = q ** (h + 1)
     nclasses = q ** (n - h - 1)
-    if mode == "exhaustive":
-        classes = None
-    elif mode == "sampled":
-        classes = _sample_classes(nclasses, intervals, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    classes = None if _exhaustive(mode) else _sample_classes(nclasses, intervals, seed)
     sums = _class_sums(ctx, n, h, weight, classes, budget)
     mean, var = _mean_var(sums)
     ratio = var / H
@@ -861,11 +757,11 @@ def _variance_report(experiment, q, n, h, weight, pred_ratio, mode, intervals,
         seed=seed,
         mode=mode,
         samples=None if classes is None else int(classes.size),
-        millis=(time.perf_counter() - t0) * 1000,
         extra=extra,
     )
 
 
+@_timed
 def exp_var_psi(q: int, n: int, h: int, mode: str = "exhaustive",
                 intervals: int = 2000, seed: int = 0,
                 budget: int = 10**8) -> ExperimentReport:
@@ -879,6 +775,7 @@ def exp_var_psi(q: int, n: int, h: int, mode: str = "exhaustive",
         mean_should_be=Fraction(q ** (h + 1)))
 
 
+@_timed
 def exp_var_mobius(q: int, n: int, h: int, mode: str = "exhaustive",
                    intervals: int = 2000, seed: int = 0,
                    budget: int = 10**8) -> ExperimentReport:
@@ -897,6 +794,7 @@ def exp_var_mobius(q: int, n: int, h: int, mode: str = "exhaustive",
         mean_should_be=Fraction(0))
 
 
+@_timed
 def exp_var_lambda2(q: int, n: int, h: int, mode: str = "exhaustive",
                     intervals: int = 200, seed: int = 0,
                     budget: int = 10**8) -> ExperimentReport:
@@ -914,21 +812,10 @@ def exp_var_lambda2(q: int, n: int, h: int, mode: str = "exhaustive",
         mean_should_be=Fraction((2 * n - 1) * q ** (h + 1)))
 
 
-def _nonmonic_reduce(rows: np.ndarray, p_low: np.ndarray, d: int,
-                     p: int) -> np.ndarray:
-    """Residues of arbitrary coefficient rows mod the monic x^d + p_low."""
-    acc = rows % p
-    for k in range(acc.shape[1] - 1, d - 1, -1):
-        t = acc[:, k].copy()
-        acc[:, k] = 0
-        acc[:, k - d : k] = (acc[:, k - d : k] - t[:, None] * p_low) % p
-    return acc[:, :d]
-
-
+@_timed
 def exp_var_G(q: int, n: int, Q: Poly, budget: int = 10**8) -> ExperimentReport:
     """Hooley-type variance over progressions: G(n;Q) = sum over coprime
     residues A of (psi(n;Q,A) - q^n/Phi(Q))^2, against q^n (deg Q - 1)."""
-    t0 = time.perf_counter()
     ctx = make_field(q)
     Q = Q.monic()
     m = Q.degree
@@ -936,35 +823,20 @@ def exp_var_G(q: int, n: int, Q: Poly, budget: int = 10**8) -> ExperimentReport:
         raise NotSquarefree("Q must be squarefree")
     if not 2 <= m <= n - 1:
         raise DegreeOutOfRange("need 2 <= deg Q <= n-1")
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     q_low = np.array(Q.coeffs[:m], dtype=np.int64)
+    shards = _scan(ctx, n, budget)
     lam_w = _lambda_weight(ctx, n)
     psi = np.zeros(q**m, dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + _SHARD, total)
-        blk = _batch.monic_block(ctx, n, start, stop)
-        idx = np.arange(start, stop, dtype=np.int64)
-        w = lam_w(blk, idx)
-        res = _batch.reduce_mod(blk, q_low, q)
-        ridx = np.zeros(stop - start, dtype=np.int64)
-        for j in range(m - 1, -1, -1):
-            ridx = ridx * q + res[:, j]
-        psi += np.rint(np.bincount(ridx, weights=w.astype(np.float64),
-                                   minlength=q**m)).astype(np.int64)
-        start = stop
-    residues = np.empty((q**m, m), dtype=np.int64)
-    v = np.arange(q**m, dtype=np.int64)
-    for j in range(m):
-        v, residues[:, j] = np.divmod(v, q)
+    for blk, idx in shards:
+        w = lam_w(blk, idx).astype(np.float64)
+        ridx = _batch.block_index(_batch.reduce_mod(blk, q_low, q), q)
+        psi += np.rint(np.bincount(ridx, weights=w, minlength=q**m)).astype(np.int64)
+    residues = _batch.index_rows(np.arange(q**m, dtype=np.int64), m, q)
     coprime = np.ones(q**m, dtype=bool)
     for P, _ in factor(Q).factors:
-        d = P.degree
-        p_low = np.array(P.monic().coeffs[:d], dtype=np.int64)
-        rr = _nonmonic_reduce(residues, p_low, d, q)
-        coprime &= (rr != 0).any(axis=1)
+        p_low = np.array(P.monic().coeffs[:P.degree], dtype=np.int64)
+        coprime &= (_batch.reduce_rows(residues.copy(), p_low, q) != 0).any(axis=1)
+    total = q**n
     phi = int(coprime.sum())
     X = Fraction(total, phi)
     G = Fraction(0)
@@ -985,16 +857,13 @@ def exp_var_G(q: int, n: int, Q: Poly, budget: int = 10**8) -> ExperimentReport:
         verdict=verdict,
         provenance="Keating-Rudnick progressions variance (Hooley analogue): "
                    "G(n;Q) ~ q^n (deg Q - 1) for squarefree Q",
-        seed=None,
-        mode="exhaustive",
-        samples=None,
-        millis=(time.perf_counter() - t0) * 1000,
         extra={"phi": phi,
                "phi_matches_formula": phi == euler_phi_poly(Q),
                "lambda_mass_on_coprime": int(psi[coprime].sum())},
     )
 
 
+@_timed
 def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
                     mode: str = "exhaustive", intervals: int = 2000,
                     seed: int = 0, budget: int = 10**8) -> ExperimentReport:
@@ -1007,7 +876,6 @@ def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
     divisor-pair splitting, which scales to interval sizes far beyond row
     enumeration.
     """
-    t0 = time.perf_counter()
     ctx = make_field(q)
     if not 0 <= h <= n - 2:
         raise DegreeOutOfRange("need 0 <= h <= n-2")
@@ -1018,17 +886,11 @@ def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
     def weight(blk, idx):
         return _divisor_r_rows(ctx, blk, k)
 
-    if mode == "exhaustive":
-        classes = None
-        sums = _class_sums(ctx, n, h, weight, None, budget)
-    elif mode == "sampled":
-        classes = _sample_classes(nclasses, intervals, seed)
-        if k == 2:
-            sums = _divisor2_interval_sums(ctx, n, h, classes, budget)
-        else:
-            sums = _class_sums(ctx, n, h, weight, classes, budget)
+    classes = None if _exhaustive(mode) else _sample_classes(nclasses, intervals, seed)
+    if classes is not None and k == 2:
+        sums = _divisor2_interval_sums(ctx, n, h, classes, budget)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        sums = _class_sums(ctx, n, h, weight, classes, budget)
     deltas = sums.astype(object) - expect
     msq = Fraction(int((deltas * deltas).sum()), len(deltas))
     ratio = msq / H
@@ -1082,7 +944,6 @@ def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
         seed=seed,
         mode=mode,
         samples=None if classes is None else int(classes.size),
-        millis=(time.perf_counter() - t0) * 1000,
         extra=extra,
     )
 
@@ -1131,10 +992,7 @@ def _count_middle_pairs(ctx: FieldCtx, n: int, h: int, m: int,
     """
     p = ctx.p
     nb = n - m
-    A_rows = np.empty((classes.size, n - h - 1), dtype=np.int64)
-    v = classes.copy()
-    for j in range(n - h - 1):
-        v, A_rows[:, j] = np.divmod(v, p)
+    A_rows = _batch.index_rows(classes, n - h - 1, p)
     a_blk = _batch.monic_block(ctx, m, 0, p**m)
     rows = a_blk.shape[0]
     counts = np.empty(classes.size, dtype=np.int64)

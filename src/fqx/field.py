@@ -11,19 +11,25 @@ from .errors import CompositeModulus, EvenCharacteristic
 _CHAR_TABLE_LIMIT = 1 << 16
 
 
-def _is_prime(p: int) -> bool:
-    """Deterministic primality check, trial division by 6k+-1."""
-    if p < 2:
-        return False
-    for d in (2, 3):
-        if p % d == 0:
-            return p == d
-    d = 5
-    while d * d <= p:
-        if p % d == 0 or p % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} of an integer n >= 1 by trial
+    division, primes ascending; empty for n <= 1."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def int_mobius(n: int) -> int:
+    """The integer Mobius function mu(n), n >= 1."""
+    exps = factor_int(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 class FieldCtx:
@@ -37,10 +43,10 @@ class FieldCtx:
         Whether p is odd; the quadratic character needs odd p.
     """
 
-    __slots__ = ("p", "odd", "_chi2_table", "_inv_table")
+    __slots__ = ("p", "odd", "_chi2_table")
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if factor_int(p) != {p: 1}:
             raise CompositeModulus(f"{p} is not prime")
         self.p = p
         self.odd = p % 2 == 1
@@ -52,7 +58,6 @@ class FieldCtx:
             self._chi2_table = bytes(table)
         else:
             self._chi2_table = None
-        self._inv_table = None
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"

@@ -343,11 +343,6 @@ class Factorization:
             out = out * P**e
         return out
 
-    def num_prime_factors(self, with_multiplicity: bool = True) -> int:
-        if with_multiplicity:
-            return sum(e for _, e in self.factors)
-        return len(self.factors)
-
 
 @dataclass(frozen=True)
 class CycleType:

@@ -152,6 +152,25 @@ def test_reduce_mod(q, n, m):
         assert row_poly(ctx, got[i], monic=False) == row_poly(ctx, F[i]) % Q
 
 
+@pytest.mark.parametrize("q,w,m", [(3, 5, 3), (5, 2, 3), (7, 4, 4), (31, 6, 2)])
+def test_reduce_rows_nonmonic(q, w, m):
+    ctx = make_field(q)
+    R = rand_block(q, w, 60, seed=w * m * q)
+    Qc = rand_block(q, m, 1, seed=5)[0]
+    Q = Poly(ctx, [int(v) for v in Qc] + [1])
+    got = batch.reduce_rows(R.copy(), Qc, q)
+    assert got.shape == (60, m)
+    for i in range(60):
+        assert row_poly(ctx, got[i], monic=False) == row_poly(ctx, R[i], monic=False) % Q
+
+
+def test_index_rows_inverts_block_index():
+    idx = np.random.default_rng(3).integers(0, 7**5, size=50)
+    rows = batch.index_rows(idx, 5, 7)
+    assert (batch.block_index(rows, 7) == idx).all()
+    assert (rows == batch.monic_block(make_field(7), 5, 0, 7**5)[idx]).all()
+
+
 @pytest.mark.parametrize("q,nmax", [(2, 6), (3, 5), (5, 4)])
 def test_batch_von_mangoldt(q, nmax):
     ctx = make_field(q)

@@ -314,11 +314,6 @@ class TestOtherCommands:
         d = json.loads(path.read_text())
         assert d["experiment"] == "cycle_census"
 
-    def test_threads_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "prime-count", "--q", "3", "--n", "3",
-                         "--threads", "1")
-        assert code == 0
-
 
 class TestHelp:
     def test_help_lists_every_command(self, capsys):

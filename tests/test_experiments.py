@@ -48,7 +48,8 @@ from fqx.experiments import (
     necklace_count,
     partitions,
 )
-from fqx.experiments import _class_sums, _divisor2_interval_sums, _divisor_r_rows
+from fqx import experiments
+from fqx.experiments import _class_sums, _divisor2_interval_sums, _divisor_r_rows, _scan
 from fqx.field import make_field
 from fqx.polyring import CycleType, Poly, divisor_k, poly_from_string
 from fqx.rmt import divisor_integral
@@ -90,6 +91,74 @@ class TestHelpers:
         assert st.r == 2 and st.exps() == (1, 2)
         with pytest.raises(InvalidShiftTuple):
             st.check_degrees(0)
+
+
+class TestScan:
+    """The shard generator every experiment walks M_n with, at a shard size
+    small enough that every scan crosses many shard boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_shards(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_SHARD", 7)
+
+    def test_exhaustive_covers_index_range_in_order(self):
+        ctx = make_field(3)
+        shards = list(_scan(ctx, 4, 10**6))
+        assert all(idx.size <= 7 for _, idx in shards)
+        idx = np.concatenate([idx for _, idx in shards])
+        assert (idx == np.arange(3**4)).all()
+        rows = np.concatenate([rows for rows, _ in shards])
+        assert (rows == monic_block(ctx, 4, 0, 3**4)).all()
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_class_shards_hold_whole_classes_in_order(self, h):
+        ctx = make_field(3)
+        H = 3 ** (h + 1)
+        classes = np.array([0, 2, 3, 5, 8], dtype=np.int64)
+        shards = list(_scan(ctx, 4, 10**6, classes=classes, h=h))
+        assert len(shards) > 1
+        for rows, idx in shards:
+            assert idx.size % H == 0 and idx.size <= max(7, H)
+            assert (rows == monic_block(ctx, 4, 0, 3**4)[idx]).all()
+        idx = np.concatenate([idx for _, idx in shards])
+        want = np.concatenate([np.arange(c * H, (c + 1) * H) for c in classes])
+        assert (idx == want).all()
+
+    def test_sampled_shards_follow_the_seeded_stream(self):
+        q, n, samples, seed = 5, 4, 23, 9
+        ctx = make_field(q)
+        rng = np.random.default_rng(seed)
+        shards = list(_scan(ctx, n, 0, samples=samples, seed=seed))
+        assert [idx.size for _, idx in shards] == [7, 7, 7, 2]
+        for rows, idx in shards:
+            assert (idx == rng.integers(0, q**n, size=idx.size)).all()
+            assert (rows == monic_block(ctx, n, 0, q**n)[idx]).all()
+        one_draw = np.random.default_rng(seed).integers(0, q**n, size=samples)
+        assert (np.concatenate([idx for _, idx in shards]) == one_draw).all()
+
+    def test_over_budget_raises_before_any_shard(self):
+        ctx = make_field(3)
+        with pytest.raises(BudgetExceeded):
+            _scan(ctx, 4, 80)
+        with pytest.raises(BudgetExceeded):
+            _scan(ctx, 4, 26, classes=np.arange(3), h=1)
+        assert sum(idx.size for _, idx in _scan(ctx, 4, 81)) == 81
+
+    def test_experiments_independent_of_shard_size(self, monkeypatch):
+        ctx = make_field(5)
+        st = ShiftTuple((Poly.zero(ctx), Poly.one(ctx)))
+        calls = [
+            lambda: exp_var_psi(5, 4, 1),
+            lambda: exp_var_psi(5, 4, 0, mode="sampled", intervals=6, seed=2),
+            lambda: exp_chowla(5, 3, st, mode="sampled", samples=40, seed=1),
+            lambda: exp_var_G(5, 4, P(5, "1,1") * P(5, "2,1")),
+        ]
+        small = [f().to_dict() for f in calls]
+        monkeypatch.setattr(experiments, "_SHARD", 400_000)
+        for d, f in zip(small, calls):
+            big = f().to_dict()
+            d.pop("millis"), big.pop("millis")
+            assert d == big
 
 
 class TestPrimeCount:

@@ -1,14 +1,29 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fqx.errors import CompositeModulus, EvenCharacteristic
-from fqx.field import make_field, quadratic_character
+from fqx.field import factor_int, int_mobius, make_field, quadratic_character
 
 
 def test_composite_rejected():
     for bad in (0, 1, 4, 6, 9, 91, 2**16):
         with pytest.raises(CompositeModulus):
             make_field(bad)
+
+
+def test_factor_int():
+    assert factor_int(1) == {}
+    assert factor_int(360) == {2: 3, 3: 2, 5: 1}
+    assert factor_int(65537) == {65537: 1}
+    for n in range(1, 500):
+        assert math.prod(d**e for d, e in factor_int(n).items()) == n
+
+
+def test_int_mobius():
+    # mu(1..12) = 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0
+    assert [int_mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
 def test_basic_arithmetic_mod_7():
