@@ -6,12 +6,23 @@ handled as int64 arrays of shape (rows, n) holding the coefficients of
 degrees 0..n-1 (the leading 1 is implicit), in the little-endian index
 order of ensembles.monic_index.
 
+Two routes compute the arithmetic functions.  Exhaustive scans of M_n in
+index order use the exponent-profile sieve (`sieve_profiles`): Eratosthenes
+over F_p[x], segmented by the top coefficients, whose per-segment profile
+gives Lambda, mu and d_k through the `*_from_counts` readouts.  Sampled
+rows, sampled interval classes and shifted rows, which have no index
+structure to sieve, use the per-row kernels (determinants, discriminants,
+gcds, trial division); they are also the sieve's independent cross-check.
+
 Numeric discipline: coefficients stay reduced mod p except inside short
 delayed-reduction windows whose bounds fit comfortably in int64
 (p <= 2^16 style moduli; the experiments use p <= a few hundred).
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -614,15 +625,185 @@ def batch_divisor_k(block: np.ndarray, ctx: FieldCtx, k: int) -> np.ndarray:
 
 
 def divisor_k_from_counts(counts: np.ndarray, k: int) -> np.ndarray:
-    """d_k from a batch_exponent_counts profile; lets one profile serve
-    several k values."""
+    """d_k from an exponent profile (batch_exponent_counts or
+    sieve_profiles); lets one profile serve several k values.
+
+    d_k is the product over the factors P^e of binom(e+k-1, k-1).  The
+    values are int64 when every one of them fits, and Python ints (dtype
+    object) otherwise, so a large k never wraps.
+    """
     n = counts.shape[1] - 1
-    dk = np.ones(counts.shape[0], dtype=np.int64)
-    b = 1
+    binoms = [math.comb(e + k - 1, k - 1) for e in range(n + 1)]
+    log2_dk = counts @ np.array([math.log2(b) for b in binoms])
+    exact = log2_dk.max(initial=0.0) < 62  # one bit of slack for rounding
+    dk = np.ones(counts.shape[0], dtype=np.int64 if exact else object)
     for e in range(1, n + 1):
-        b = b * (e + k - 1) // e
         ce = counts[:, e]
         hot = np.flatnonzero(ce)
         if hot.size:
-            dk[hot] *= np.int64(b) ** ce[hot]
+            if exact:
+                dk[hot] *= np.int64(binoms[e]) ** ce[hot]
+            else:
+                dk[hot] *= binoms[e] ** ce[hot].astype(object)
     return dk
+
+
+# exponent-profile sieve ---------------------------------------------------------
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Products of coefficient rows (lowest degree first, any leading
+    coefficient), broadcast over the leading axes: (..., la) * (..., lb)
+    -> (..., la + lb - 1), reduced mod p."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (la + lb - 1,),
+                   dtype=np.int64)
+    for j in range(la):
+        out[..., j : j + lb] += a[..., j : j + 1] * b
+    return out % p
+
+
+def _monic_full(p: int, m: int) -> np.ndarray:
+    """All of M_m in index order as full coefficient rows (leading 1 kept)."""
+    out = np.ones((p**m, m + 1), dtype=np.int64)
+    out[:, :m] = index_rows(np.arange(p**m, dtype=np.int64), m, p)
+    return out
+
+
+def _monic_primes(p: int, dmax: int) -> dict[int, np.ndarray]:
+    """{d: the monic irreducibles of degree d as full coefficient rows, in
+    index order} for d = 1..dmax, by Eratosthenes over each M_d."""
+    primes: dict[int, np.ndarray] = {}
+    for d in range(1, dmax + 1):
+        composite = np.zeros(p**d, dtype=bool)
+        for i in range(1, d // 2 + 1):
+            prod = _poly_mul(primes[i][:, None, :], _monic_full(p, d - i)[None], p)
+            composite[block_index(prod.reshape(-1, d + 1)[:, :d], p)] = True
+        primes[d] = _monic_full(p, d)[~composite]
+    return primes
+
+
+class SieveTables(NamedTuple):
+    """Tables for sieving the segments of seg_rows = p^(n-s) rows of M_n.
+
+    dense holds (d, e, Q, low, high) for the prime powers Q = P^e whose
+    multiples are one fixed table per segment; listed holds (d, e, idx),
+    the sorted indices of every multiple of the other prime powers.
+    """
+
+    p: int
+    n: int
+    s: int
+    rows: int
+    dense: list
+    listed: list
+
+
+def sieve_tables(ctx: FieldCtx, n: int, seg_rows: int) -> SieveTables:
+    """The SieveTables for every segment of M_n: per prime power Q = P^e
+    (deg P = d <= n/2, ed <= n) with cofactor degree m = n - ed, either the
+    dense table of Q * g_low or the sorted indices of every Q * g.
+
+    A segment is the seg_rows = p^(n-s) indices whose top s coefficients
+    agree.  When m >= s the segment's top coefficients fix the top s
+    coefficients of the monic cofactor g (Q is monic), and g's low m - s
+    coefficients g_low run free, so the multiples of Q in a segment are
+    one fixed table shifted digitwise.  When m < s the p^m multiples of
+    each Q are few and are enumerated once.
+    """
+    p = ctx.p
+    s = 0
+    while p ** (n - s) > seg_rows:
+        s += 1
+    if p ** (n - s) != seg_rows:
+        raise ValueError(f"segment rows must be a power of {p} dividing {p**n}")
+    dense, listed = [], []
+    for d, P in _monic_primes(p, n // 2).items():
+        Q = P
+        for e in range(1, n // d + 1):
+            if e > 1:
+                Q = _poly_mul(Q, P, p)
+            m = n - e * d
+            if m >= s:
+                free = index_rows(np.arange(p ** (m - s), dtype=np.int64), m - s, p)
+                tab = _poly_mul(Q[:, None, :], free[None], p)  # (pi_d, p^(m-s), n-s)
+                low = tab[..., : m - s] @ p ** np.arange(m - s, dtype=np.int64)
+                dense.append((d, e, Q, low, np.ascontiguousarray(tab[..., m - s :])))
+            else:
+                f = _poly_mul(Q[:, None, :], _monic_full(p, m)[None], p)
+                idx = np.sort(block_index(f.reshape(-1, n + 1)[:, :n], p))
+                listed.append((d, e, idx))
+    return SieveTables(p, n, s, seg_rows, dense, listed)
+
+
+def sieve_segment(sv: SieveTables, start: int) -> np.ndarray:
+    """Exponent profile, in the layout of batch_exponent_counts, of the
+    segment [start, start + rows) of M_n (start a multiple of rows)."""
+    p, n, s, L = sv.p, sv.n, sv.s, sv.rows
+    top = index_rows(np.array([start // L], dtype=np.int64), s, p)[0]
+    work = np.zeros((n + 1, L), dtype=np.int64)  # work[e] = counts[:, e]
+    residual = np.full(L, n, dtype=np.int64)
+
+    def add(d, e, hits):
+        work[e] += hits
+        if e > 1:
+            work[e - 1] -= hits
+        residual[:] -= d * hits
+
+    for d, e, Q, low, high in sv.dense:
+        ed = e * d
+        # G = x^s + g_top from the top of Q*G = the segment's top s digits
+        G = np.zeros((Q.shape[0], s + 1), dtype=np.int64)
+        G[:, s] = 1
+        for c in range(s - 1, -1, -1):
+            w = min(s - c, ed)
+            acc = top[c] - (Q[:, ed - w : ed][:, ::-1] * G[:, c + 1 : c + 1 + w]).sum(axis=1)
+            G[:, c] = acc % p
+        # the low ed coefficients of Q*G land on digits m-s .. n-s-1
+        shift = _poly_mul(Q, G, p)[:, :ed]
+        idx = low.copy()
+        base = p ** (n - s - ed)
+        for j in range(ed):
+            idx += (high[..., j] + shift[:, j : j + 1]) % p * (base * p**j)
+        add(d, e, np.bincount(idx.ravel(), minlength=L))
+    for d, e, all_idx in sv.listed:
+        lo, hi = np.searchsorted(all_idx, [start, start + L])
+        add(d, e, np.bincount(all_idx[lo:hi] - start, minlength=L))
+    work[1] += residual > 0
+    return work.T
+
+
+def sieve_profiles(ctx: FieldCtx, n: int, seg_rows: int):
+    """(start, counts) for the segments of M_n of seg_rows = p^(n-s) rows,
+    in index order; counts equals batch_exponent_counts on those rows.
+
+    The tables are built once, when the first segment is asked for.  With
+    segments of at most 400,000 rows (the experiments' shard) no table has
+    more than seg_rows rows for q^n up to about 2.6e8; past that the listed
+    multiples of the P^e with deg P^e > n - s can outgrow one segment.
+    """
+    sv = sieve_tables(ctx, n, seg_rows)
+    for start in range(0, ctx.p**n, seg_rows):
+        yield start, sieve_segment(sv, start)
+
+
+def von_mangoldt_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Lambda from an exponent profile: n/e where exactly one prime divides
+    f, with exponent e, else 0."""
+    n = counts.shape[1] - 1
+    lam = np.zeros(counts.shape[0], dtype=np.int64)
+    single = counts.sum(axis=1) == 1
+    for e in range(1, n + 1):
+        if n % e == 0:
+            lam[single & (counts[:, e] == 1)] = n // e
+    return lam
+
+
+def mobius_from_counts(counts: np.ndarray) -> np.ndarray:
+    """mu from an exponent profile: 0 when a square divides f, else (-1)
+    to the number of primes."""
+    mu = 1 - 2 * (counts[:, 1] & 1)
+    mu[counts[:, 2:].any(axis=1)] = 0
+    return mu

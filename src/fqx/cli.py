@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +46,7 @@ from .errors import (
 from .experiments import (
     ExperimentReport,
     ShiftTuple,
+    _timed,
     exp_ap_primes,
     exp_chowla,
     exp_cycle_census,
@@ -409,7 +409,11 @@ def _run_factor(a) -> int:
 
 
 def _run_matrix_integral(a) -> int:
-    t0 = time.perf_counter()
+    return _emit_report(a, "matrix-integral", _matrix_integral_report(a))
+
+
+@_timed
+def _matrix_integral_report(a) -> ExperimentReport:
     mode = _or(a.mode, "closed")
     samples = _or(a.samples, 100_000)
     stat = None
@@ -454,7 +458,7 @@ def _run_matrix_integral(a) -> int:
         nerr = ab / err if ab is not None and err > 0 else None
         verdict = bool(ab <= 3 * err) if closed is not None else None
         used = samples
-    rep = ExperimentReport(
+    return ExperimentReport(
         experiment="matrix_integral",
         params=params,
         empirical=empirical,
@@ -467,13 +471,15 @@ def _run_matrix_integral(a) -> int:
                    "Rudnick); Rodgers closed form for the Lambda_2 integrand",
         seed=a.seed if mode == "monte_carlo" else None,
         mode=mode,
-        samples=used,
-        millis=(time.perf_counter() - t0) * 1000.0)
-    return _emit_report(a, "matrix-integral", rep)
+        samples=used)
 
 
 def _run_katz(a) -> int:
-    t0 = time.perf_counter()
+    return _emit_report(a, "katz", _katz_report(a))
+
+
+@_timed
+def _katz_report(a) -> ExperimentReport:
     j = _or(a.j, 1)
     if a.statistic == "power":
         stat = rmt.PowerTraceSquared(j)
@@ -487,7 +493,7 @@ def _run_katz(a) -> int:
     ab = abs(empirical - reference)
     # tolerance calibrated only for the leading trace moment at large-ish q
     judged = a.statistic == "power" and j == 1 and a.q >= 11
-    rep = ExperimentReport(
+    return ExperimentReport(
         experiment="katz",
         params={"q": a.q, "N": a.N, "statistic": name},
         empirical={"average": float(empirical)},
@@ -500,9 +506,7 @@ def _run_katz(a) -> int:
                    "q grows; reference is the Haar Monte Carlo average",
         seed=a.seed,
         mode="monte_carlo",
-        samples=samples,
-        millis=(time.perf_counter() - t0) * 1000.0)
-    return _emit_report(a, "katz", rep)
+        samples=samples)
 
 
 # parser --------------------------------------------------------------------------

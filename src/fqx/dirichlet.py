@@ -418,32 +418,23 @@ _RESIDUE_CACHE: dict = {}
 
 
 def _weights_over_monic(ctx: FieldCtx, n: int, weight: str, k: int) -> np.ndarray | None:
-    """Weight array over M_n in index order; None means all-ones."""
+    """Weight array over M_n in index order; None means all-ones.  The
+    weights are read off the sieve's exponent profile of all of M_n."""
     if weight == "unit":
         return None
     key = (ctx.p, n, weight, k)
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
-    if weight == "mobius":
-        if n == 0:
-            w = np.ones(1, dtype=np.int64)
-        elif ctx.odd:
-            w = _batch.batch_mobius(_batch.monic_block(ctx, n, 0, ctx.p**n), ctx)
-        else:
-            from .polyring import mobius
-            from .ensembles import enumerate_monic
-            w = np.array([mobius(f) for f in enumerate_monic(ctx, n)], dtype=np.int64)
-    elif weight == "von_mangoldt":
-        if n == 0:
-            w = np.zeros(1, dtype=np.int64)
-        else:
-            w = _batch.batch_von_mangoldt(_batch.monic_block(ctx, n, 0, ctx.p**n), ctx, 0)
-    elif weight == "divisor_k":
-        from .polyring import divisor_k
-        from .ensembles import enumerate_monic
-        w = np.array([divisor_k(f, k) for f in enumerate_monic(ctx, n)], dtype=np.int64)
-    else:
+    read = {"mobius": _batch.mobius_from_counts,
+            "von_mangoldt": _batch.von_mangoldt_from_counts,
+            "divisor_k": lambda counts: _batch.divisor_k_from_counts(counts, k)}.get(weight)
+    if read is None:
         raise ValueError(f"unknown weight {weight!r}")
+    if n == 0:  # f = 1: mu = d_k = 1, Lambda = 0
+        w = np.array([int(weight != "von_mangoldt")], dtype=np.int64)
+    else:
+        [(_, counts)] = _batch.sieve_profiles(ctx, n, ctx.p**n)
+        w = read(counts)
     if len(_WEIGHT_CACHE) > 64:
         _WEIGHT_CACHE.clear()
     _WEIGHT_CACHE[key] = w

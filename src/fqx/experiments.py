@@ -13,9 +13,17 @@ rational arithmetic and checked with zero tolerance.
 
 Every walk over M_n goes through one generator, `_scan`: all of M_n in
 index order, whole interval classes I(A;h), or seeded random rows, in
-shards of about `_SHARD` rows, with the q^n work budget checked there and
+shards of at most `_SHARD` rows, with the q^n work budget checked there and
 nowhere else.  Each experiment is a reduction over those shards, and
 `_timed` stamps the report's `millis` with the wall time of the whole call.
+
+Two routes give the arithmetic weights.  An exhaustive scan of M_n walks
+the segments of the exponent-profile sieve (`batch.sieve_profiles`), and
+reads Lambda, irreducibility, mu and d_k off each segment's profile; its
+class sums are integer sums over whole segments.  Sampled rows, sampled
+interval classes and shifted rows (Chowla, twins, divisor correlations,
+cycle types) go through the per-row kernels of `batch`, as does Lambda_2,
+which needs the degrees of the prime factors and not only their exponents.
 """
 
 from __future__ import annotations
@@ -180,19 +188,26 @@ def euler_phi_poly(Q: Poly) -> int:
 
 
 def _scan(ctx: FieldCtx, n: int, budget: int, classes: np.ndarray | None = None,
-          h: int = 0, samples: int | None = None, seed: int = 0):
-    """Shards (rows, index) of about _SHARD monic degree-n rows.
+          h: int = 0, samples: int | None = None, seed: int = 0,
+          profile: bool = False):
+    """Shards (rows, index) of at most _SHARD monic degree-n rows.
 
-    By default all of M_n in index order.  With classes (sorted class
-    indices), the whole interval classes I(A;h) of those classes, in class
-    order, each shard holding whole classes.  With samples, that many rows
-    drawn shard by shard from default_rng(seed), indices unsorted.  An
-    exhaustive or class scan over budget rows raises BudgetExceeded here,
+    By default all of M_n in index order, one sieve segment per shard: the
+    p^(n-s) indices that share their top s coefficients, s the least value
+    with p^(n-s) <= _SHARD.  With profile, those shards carry the segment's
+    exponent profile (batch.sieve_profiles) in place of its rows.  With
+    classes (sorted class indices), the whole interval classes I(A;h) of
+    those classes, in class order, each shard holding whole classes.  With
+    samples, that many rows drawn shard by shard from default_rng(seed),
+    indices unsorted.  An exhaustive or class scan over budget rows raises
+    BudgetExceeded here, and a sample count below 1 PreconditionError,
     before any work.
     """
     p = ctx.p
     total = p**n
     H = p ** (h + 1)
+    if samples is not None and samples < 1:
+        raise PreconditionError(f"need samples >= 1, got {samples}")
     if samples is None and classes is None and total > budget:
         raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     if samples is None and classes is not None and classes.size * H > budget:
@@ -206,10 +221,16 @@ def _scan(ctx: FieldCtx, n: int, budget: int, classes: np.ndarray | None = None,
                 idx = rng.integers(0, total, size=min(samples - got, _SHARD))
                 yield _batch.index_rows(idx, n, p), idx
         elif classes is None:
-            for start in range(0, total, _SHARD):
-                stop = min(start + _SHARD, total)
-                yield (_batch.monic_block(ctx, n, start, stop),
-                       np.arange(start, stop, dtype=np.int64))
+            seg = total
+            while seg > _SHARD:
+                seg //= p
+            if profile:
+                for start, counts in _batch.sieve_profiles(ctx, n, seg):
+                    yield counts, np.arange(start, start + seg, dtype=np.int64)
+            else:
+                for start in range(0, total, seg):
+                    yield (_batch.monic_block(ctx, n, start, start + seg),
+                           np.arange(start, start + seg, dtype=np.int64))
         else:
             offsets = np.arange(H, dtype=np.int64)
             chunk = max(1, _SHARD // H)
@@ -235,11 +256,13 @@ def _lambda_weight(ctx: FieldCtx, n: int):
 
     The index array must be sorted; prime-power corrections are located in
     it by binary search, so the weight works on any union of index ranges,
-    not just one contiguous block.
+    not just one contiguous block.  The prime powers are listed on the
+    first call, so building the weight costs nothing.
     """
-    pp_idx, pp_val = _batch.proper_prime_power_indices(ctx, n)
+    prime_powers = functools.cache(lambda: _batch.proper_prime_power_indices(ctx, n))
 
     def w(blk: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        pp_idx, pp_val = prime_powers()
         out = _batch.batch_is_irreducible(blk, ctx).astype(np.int64) * n
         if pp_idx.size:
             pos = np.searchsorted(idx, pp_idx)
@@ -256,6 +279,8 @@ def _sample_classes(nclasses: int, count: int, seed: int) -> np.ndarray:
     """Sorted distinct class indices; all classes when count >= nclasses.
 
     Rejection sampling keeps memory flat even when nclasses is huge."""
+    if count < 1:
+        raise PreconditionError(f"need intervals >= 1, got {count}")
     if count >= nclasses:
         return np.arange(nclasses, dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -272,24 +297,42 @@ def _sample_classes(nclasses: int, count: int, seed: int) -> np.ndarray:
     return np.array(sorted(out), dtype=np.int64)
 
 
-def _class_sums(ctx: FieldCtx, n: int, h: int, weight, classes: np.ndarray | None,
-                budget: int) -> np.ndarray:
-    """Per-interval-class sums of a row weight over M_n.
+def _exact(w: np.ndarray, terms: int) -> np.ndarray:
+    """w, as Python ints (dtype object) when a sum of `terms` of its
+    entries could leave int64, so that the sum stays exact."""
+    if w.dtype != object and terms * int(np.abs(w).max(initial=0)) >= 2**63:
+        return w.astype(object)
+    return w
 
-    weight(block, sorted_abs_index_array) -> int64 per row.  classes None
-    means all q^{n-h-1} classes (exhaustive); otherwise sums for the given
-    sorted classes, in order.
+
+def _class_sums(ctx: FieldCtx, n: int, h: int, weight, classes: np.ndarray | None,
+                budget: int, from_profile=None) -> np.ndarray:
+    """Per-interval-class sums of a row weight over M_n, summed exactly.
+
+    weight(block, sorted_abs_index_array) -> integers per row, and
+    from_profile(counts) the same weight read off an exponent profile.
+    classes None means all q^{n-h-1} classes (exhaustive), summed over the
+    sieve's segments with from_profile, or over the segments' rows with
+    weight when from_profile is None; otherwise sums for the given sorted
+    classes, in order, with weight.
     """
     H = ctx.p ** (h + 1)
     if classes is None:
         out = np.zeros(ctx.p ** (n - h - 1), dtype=np.int64)
-        for blk, idx in _scan(ctx, n, budget):
-            w = weight(blk, idx).astype(np.float64)
+        profile = from_profile is not None
+        for data, idx in _scan(ctx, n, budget, profile=profile):
+            w = _exact(from_profile(data) if profile else weight(data, idx), H)
+            if w.dtype == object and out.dtype != object:
+                out = out.astype(object)
+            # segments and classes are aligned powers of p: a segment holds
+            # whole classes, or lies inside one class
             first = int(idx[0]) // H
-            local = np.bincount(idx // H - first, weights=w)
-            out[first : first + local.size] += np.rint(local).astype(np.int64)
+            if idx.size >= H:
+                out[first : first + idx.size // H] += w.reshape(-1, H).sum(axis=1)
+            else:
+                out[first] += w.sum()
         return out
-    parts = [weight(blk, idx).reshape(-1, H).sum(axis=1)
+    parts = [_exact(weight(blk, idx), H).reshape(-1, H).sum(axis=1)
              for blk, idx in _scan(ctx, n, budget, classes=classes, h=h)]
     return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
@@ -328,8 +371,8 @@ def exp_prime_count(q: int, n: int, mode: str = "exhaustive",
     ctx = make_field(q)
     neck = necklace_count(q, n)
     if _exhaustive(mode, "necklace_only"):
-        pi = sum(int(_batch.batch_is_irreducible(blk, ctx).sum())
-                 for blk, _ in _scan(ctx, n, budget))
+        pi = sum(int((_batch.von_mangoldt_from_counts(counts) == n).sum())
+                 for counts, _ in _scan(ctx, n, budget, profile=True))
         routes_agree = pi == neck
     else:
         pi = neck
@@ -354,14 +397,14 @@ def exp_prime_count(q: int, n: int, mode: str = "exhaustive",
 
 def _interval_count_report(experiment, q, n, h, per_class_target, weight,
                            mode, intervals, seed, budget, provenance,
-                           extra0=None):
+                           extra0=None, from_profile=None):
     """Shared core of the per-interval counting experiments."""
     ctx = make_field(q)
     if not 0 <= h < n:
         raise DegreeOutOfRange("need 0 <= h < n")
     nclasses = q ** (n - h - 1)
     classes = None if _exhaustive(mode) else _sample_classes(nclasses, intervals, seed)
-    counts = _class_sums(ctx, n, h, weight, classes, budget)
+    counts = _class_sums(ctx, n, h, weight, classes, budget, from_profile)
     target = float(per_class_target)
     max_abs = float(np.abs(counts - target).max())
     max_rel = max_abs / target if target else math.inf
@@ -400,12 +443,15 @@ def exp_interval_primes(q: int, n: int, h: int, mode: str = "sampled",
     def weight(blk, idx):
         return _batch.batch_is_irreducible(blk, ctx).astype(np.int64)
 
+    def from_profile(counts):
+        return (_batch.von_mangoldt_from_counts(counts) == n).astype(np.int64)
+
     H = q ** (h + 1)
     rep = _interval_count_report(
         "interval_primes", q, n, h, Fraction(H, n), weight, mode, intervals,
         seed, budget,
         "Bank, Bary-Soroker and Rosenzweig: primes in short intervals, "
-        "H/n (1 + O(q^{-1/2})) for 3 <= h <= n-2")
+        "H/n (1 + O(q^{-1/2})) for 3 <= h <= n-2", from_profile=from_profile)
     if mode == "exhaustive":
         rep.extra["prime_count_matches_necklace"] = (
             rep.extra["total_count"] == necklace_count(q, n))
@@ -517,10 +563,9 @@ def exp_ap_primes(q: int, n: int, Q: Poly, A: Poly,
     for j, c in enumerate((A % Q).coeffs):
         a_row[j] = c
     count = 0
-    for blk, _ in _scan(ctx, n, budget):
-        hit = (_batch.reduce_mod(blk, q_low, q) == a_row).all(axis=1)
-        if hit.any():
-            count += int(_batch.batch_is_irreducible(blk[hit], ctx).sum())
+    for counts, idx in _scan(ctx, n, budget, profile=True):
+        primes = _batch.index_rows(idx[_batch.von_mangoldt_from_counts(counts) == n], n, q)
+        count += int((_batch.reduce_mod(primes, q_low, q) == a_row).all(axis=1).sum())
     pi = necklace_count(q, n)
     phi = euler_phi_poly(Q)
     pred = pi / phi
@@ -629,7 +674,8 @@ def exp_twin(q: int, n: int, shifts: ShiftTuple,
 
 
 def _divisor_r_rows(ctx: FieldCtx, blk: np.ndarray, r: int) -> np.ndarray:
-    if blk.shape[1] <= 3:
+    # the shape route's values, at most r^n, are int64
+    if blk.shape[1] <= 3 and r ** blk.shape[1] < 2**62:
         return _batch.batch_divisor_r_small(blk, ctx, r)
     return _batch.batch_divisor_k(blk, ctx, r)
 
@@ -650,7 +696,8 @@ def exp_divisor_corr(q: int, n: int, r: int, shift: Poly,
     def pair_products(blk: np.ndarray) -> np.ndarray:
         a = _divisor_r_rows(ctx, blk, r)
         b = _divisor_r_rows(ctx, _shifted_block(blk, shift), r)
-        return a * b
+        # Python ints when the shard's sum of products could leave int64
+        return _exact(a, a.size * int(b.max(initial=0))) * b
 
     nrows = None if _exhaustive(mode) else samples
     acc = sum(int(pair_products(blk).sum())
@@ -723,7 +770,7 @@ def exp_joint_cycles(q: int, n: int, alpha: Poly,
 
 def _variance_report(experiment, q, n, h, weight, pred_ratio, mode, intervals,
                      seed, budget, provenance, mean_should_be=None,
-                     in_theorem_range=None):
+                     in_theorem_range=None, from_profile=None):
     ctx = make_field(q)
     if not 0 <= h <= n - 2:
         raise DegreeOutOfRange(
@@ -731,7 +778,7 @@ def _variance_report(experiment, q, n, h, weight, pred_ratio, mode, intervals,
     H = q ** (h + 1)
     nclasses = q ** (n - h - 1)
     classes = None if _exhaustive(mode) else _sample_classes(nclasses, intervals, seed)
-    sums = _class_sums(ctx, n, h, weight, classes, budget)
+    sums = _class_sums(ctx, n, h, weight, classes, budget, from_profile)
     mean, var = _mean_var(sums)
     ratio = var / H
     if in_theorem_range is None:
@@ -772,7 +819,8 @@ def exp_var_psi(q: int, n: int, h: int, mode: str = "exhaustive",
         seed, budget,
         "Keating-Rudnick: Var psi ~ H (n-h-2) for h <= n-5, matching the "
         "Diaconis-Shahshahani integral of |tr U^n|^2 over U(n-h-2)",
-        mean_should_be=Fraction(q ** (h + 1)))
+        mean_should_be=Fraction(q ** (h + 1)),
+        from_profile=_batch.von_mangoldt_from_counts)
 
 
 @_timed
@@ -791,7 +839,7 @@ def exp_var_mobius(q: int, n: int, h: int, mode: str = "exhaustive",
         "var_mobius", q, n, h, weight, 1, mode, intervals, seed, budget,
         "Keating-Rudnick: Mobius interval variance ~ H, matching the Haar "
         "average of |tr Sym^n U|^2 = 1",
-        mean_should_be=Fraction(0))
+        mean_should_be=Fraction(0), from_profile=_batch.mobius_from_counts)
 
 
 @_timed
@@ -824,13 +872,12 @@ def exp_var_G(q: int, n: int, Q: Poly, budget: int = 10**8) -> ExperimentReport:
     if not 2 <= m <= n - 1:
         raise DegreeOutOfRange("need 2 <= deg Q <= n-1")
     q_low = np.array(Q.coeffs[:m], dtype=np.int64)
-    shards = _scan(ctx, n, budget)
-    lam_w = _lambda_weight(ctx, n)
     psi = np.zeros(q**m, dtype=np.int64)
-    for blk, idx in shards:
-        w = lam_w(blk, idx).astype(np.float64)
-        ridx = _batch.block_index(_batch.reduce_mod(blk, q_low, q), q)
-        psi += np.rint(np.bincount(ridx, weights=w, minlength=q**m)).astype(np.int64)
+    for counts, idx in _scan(ctx, n, budget, profile=True):
+        lam = _batch.von_mangoldt_from_counts(counts)
+        hot = np.flatnonzero(lam)
+        rows = _batch.index_rows(idx[hot], n, q)
+        np.add.at(psi, _batch.block_index(_batch.reduce_mod(rows, q_low, q), q), lam[hot])
     residues = _batch.index_rows(np.arange(q**m, dtype=np.int64), m, q)
     coprime = np.ones(q**m, dtype=bool)
     for P, _ in factor(Q).factors:
@@ -871,10 +918,13 @@ def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
     against H I_k(n; n-h-2); checks the exact vanishing band
     h > (1-1/k) n - 1.
 
-    Exhaustive mode always evaluates d_k row by row, so the vanishing band
-    is tested against the direct definition.  Sampled mode with k = 2 uses
-    divisor-pair splitting, which scales to interval sizes far beyond row
-    enumeration.
+    Exhaustive mode reads d_k off the sieve's factorization profile of
+    every polynomial, so the vanishing band is tested against the direct
+    definition d_k(f) = prod binom(e + k-1, k-1) over the factors P^e.
+    Sampled mode with k = 2 uses divisor-pair splitting, which scales to
+    interval sizes far beyond row enumeration; with k != 2 it evaluates
+    d_k row by row.  Values and sums are exact for any k: d_k falls back
+    to Python integers past int64.
     """
     ctx = make_field(q)
     if not 0 <= h <= n - 2:
@@ -890,7 +940,8 @@ def exp_var_divisor(q: int, n: int, h: int, k: int = 2,
     if classes is not None and k == 2:
         sums = _divisor2_interval_sums(ctx, n, h, classes, budget)
     else:
-        sums = _class_sums(ctx, n, h, weight, classes, budget)
+        sums = _class_sums(ctx, n, h, weight, classes, budget,
+                           functools.partial(_batch.divisor_k_from_counts, k=k))
     deltas = sums.astype(object) - expect
     msq = Fraction(int((deltas * deltas).sum()), len(deltas))
     ratio = msq / H

@@ -310,3 +310,99 @@ def test_exponent_counts_residual_prime():
         fac = scalar_factor(row_poly(ctx, F[i]))
         assert omega[i] == len(fac.factors)
         assert Omega[i] == sum(e for _, e in fac.factors)
+
+
+@pytest.mark.parametrize("k", [600, 1000])
+def test_divisor_k_exact_past_int64(k):
+    # d_k of M_8 over F_3 leaves int64 for these k; the values must stay
+    # exact rather than wrap (k=600) or raise OverflowError (k=1000)
+    from fqx.polyring import divisor_k
+
+    ctx = make_field(3)
+    F = batch.monic_block(ctx, 8, 0, 3**8)
+    dk = batch.batch_divisor_k(F, ctx, k)
+    assert all(v > 0 for v in dk)
+    if k == 600:
+        assert dk[18] == 236013939028812000000
+    for i in list(range(0, 3**8, 23)) + [18]:
+        assert dk[i] == divisor_k(row_poly(ctx, F[i]), k)
+    sieved = np.concatenate([c for _, c in batch.sieve_profiles(ctx, 8, 3**4)])
+    assert list(batch.divisor_k_from_counts(sieved, k)) == list(dk)
+
+
+def test_divisor_k_stays_int64_when_it_fits():
+    ctx = make_field(3)
+    F = batch.monic_block(ctx, 8, 0, 3**8)
+    assert batch.batch_divisor_k(F, ctx, 3).dtype == np.int64
+
+
+# exponent-profile sieve --------------------------------------------------------
+
+
+def _sieved(ctx, n, rows):
+    segments = list(batch.sieve_profiles(ctx, n, rows))
+    assert [start for start, _ in segments] == list(range(0, ctx.p**n, rows))
+    assert all(c.shape == (rows, n + 1) for _, c in segments)
+    return np.concatenate([c for _, c in segments])
+
+
+SIEVE_CASES = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 9)]
+               + [(5, n) for n in range(1, 6)] + [(7, n) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("q,n", SIEVE_CASES)
+def test_sieve_profile_matches_trial_division(q, n):
+    ctx = make_field(q)
+    ref = batch.batch_exponent_counts(batch.monic_block(ctx, n, 0, q**n), ctx)
+    # one segment, segments of q^(n-1) rows, about sqrt(q^n) rows, and q rows
+    for s in sorted({0, 1, n // 2, n - 1}):
+        assert (_sieved(ctx, n, q ** (n - s)) == ref).all()
+
+
+@pytest.mark.parametrize("q,n,s", [(2, 8, 1), (2, 8, 6), (3, 6, 3), (5, 5, 2), (7, 4, 3)])
+def test_sieve_runs_both_branches(q, n, s):
+    # dense tables for cofactor degree m >= s, listed multiples for m < s
+    ctx = make_field(q)
+    sv = batch.sieve_tables(ctx, n, q ** (n - s))
+    assert sv.s == s
+    assert all(n - e * d >= s for d, e, *_ in sv.dense) and sv.dense
+    assert all(n - e * d < s for d, e, _ in sv.listed) and sv.listed
+    ref = batch.batch_exponent_counts(batch.monic_block(ctx, n, 0, q**n), ctx)
+    assert (_sieved(ctx, n, q ** (n - s)) == ref).all()
+
+
+def test_sieve_rejects_unaligned_segments():
+    with pytest.raises(ValueError):
+        next(batch.sieve_profiles(make_field(3), 4, 10))
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (5, 4), (7, 4)])
+def test_sieve_readouts_match_references(q, n):
+    from fqx.polyring import divisor_k
+
+    ctx = make_field(q)
+    counts = _sieved(ctx, n, q ** (n - 2))
+    F = batch.monic_block(ctx, n, 0, q**n)
+    assert (batch.von_mangoldt_from_counts(counts)
+            == batch.batch_von_mangoldt(F, ctx, 0)).all()
+    polys = [row_poly(ctx, row) for row in F]
+    assert list(batch.mobius_from_counts(counts)) == [mobius(f) for f in polys]
+    for k in (2, 3):
+        assert list(batch.divisor_k_from_counts(counts, k)) == [divisor_k(f, k) for f in polys]
+
+
+@pytest.mark.parametrize("q,n", [(13, 6), (37, 5), (101, 4), (2, 26)])
+def test_sieve_tables_fit_one_segment(q, n):
+    # at the experiments' shard size no sieve array outgrows one segment
+    from fqx.experiments import _SHARD
+
+    rows = q**n
+    while rows > _SHARD:
+        rows //= q
+    sv = batch.sieve_tables(make_field(q), n, rows)
+    assert sv.s > 0
+    for _, _, Q, low, high in sv.dense:
+        assert Q.shape[0] <= rows and low.size <= rows
+        assert high.shape[:-1] == low.shape
+    for _, _, idx in sv.listed:
+        assert idx.size <= rows

@@ -78,6 +78,26 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("var-psi", "--q", "5", "--n", "4", "--h", "1", "--mode", "sampled",
+         "--intervals", "0"),
+        ("chowla", "--q", "5", "--n", "4", "--shifts", "0,1", "--mode", "sampled",
+         "--samples", "0"),
+        ("interval-primes", "--q", "5", "--n", "4", "--h", "1", "--intervals", "0"),
+    ])
+    def test_zero_sample_count_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: need") and ">= 1, got 0" in err
+        assert out == ""
+
+    def test_divisor_k_past_int64(self, capsys):
+        # d_1000 of M_8 over F_3 leaves int64; the sums stay exact
+        code, out, _ = run(capsys, "var-divisor", "--q", "3", "--n", "8",
+                           "--h", "6", "--k", "1000")
+        assert code == 0
+        assert json.loads(out)["extra"]["mean_matches_identity"] is True
+
     def test_bad_poly_text_is_2(self, capsys):
         code, _, _ = run(capsys, "factor", "--q", "5", "--poly", "1,zz,1")
         assert code == 2
@@ -289,6 +309,18 @@ class TestOtherCommands:
         assert d["verdict"] is None  # q below the judged range
         assert set(d["empirical"]) == {"average"}
         assert set(d["predicted"]) == {"haar"}
+
+    @pytest.mark.parametrize("argv", [
+        ("matrix-integral", "--family", "rodgers", "--n", "6", "--N", "3"),
+        ("katz", "--q", "5", "--N", "2", "--samples", "2000"),
+    ])
+    def test_cli_built_reports_are_timed(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["millis"] > 0
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        header, rows = parse_csv(out)
+        assert header == list(CSV_COLUMNS) and float(rows[0][-1]) > 0
 
     def test_interval_cycles_reachable(self, capsys):
         code, out, _ = run(capsys, "interval-cycles", "--q", "7", "--n", "3",

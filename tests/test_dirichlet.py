@@ -242,6 +242,24 @@ class TestMSums:
                              for f in enumerate_monic(ctx, n))
                 assert abs(m_sum(n, chi, weight=weight) - direct) < 1e-9
 
+    def test_sieve_weights_even_q_and_degree_zero(self):
+        # the weights over M_n come from the sieve for every q, n = 0 included
+        from fqx.ensembles import enumerate_monic
+        from fqx.polyring import mobius, von_mangoldt, divisor_k
+
+        ctx = make_field(2)
+        G = build_unit_group(Poly.monomial(ctx, 3))
+        chi = next(c for c in list_characters(G) if not c.is_trivial)
+        for weight, fn in (
+            ("mobius", mobius),
+            ("von_mangoldt", von_mangoldt),
+            ("divisor_k", lambda f: divisor_k(f, 3)),
+        ):
+            for n in (0, 1, 3, 5):
+                direct = sum(fn(f) * char_eval(chi, f)
+                             for f in enumerate_monic(ctx, n))
+                assert abs(m_sum(n, chi, weight=weight, k=3) - direct) < 1e-9
+
     def test_budget(self):
         G = build_unit_group(Poly.monomial(make_field(5), 3))
         chi = next(iter(list_characters(G)))

@@ -161,6 +161,122 @@ class TestScan:
             assert d == big
 
 
+class TestSieveRoute:
+    """The exhaustive scans of the seven experiments that read Lambda,
+    irreducibility, mu or d_k in index order take them from the sieve's
+    segment profiles; the row kernels are their independent cross-check."""
+
+    @staticmethod
+    def calls():
+        return [
+            lambda: exp_prime_count(3, 6),
+            lambda: exp_interval_primes(3, 6, 1, mode="exhaustive"),
+            lambda: exp_interval_primes(3, 6, 4, mode="exhaustive"),
+            lambda: exp_var_psi(3, 6, 0),
+            lambda: exp_var_psi(3, 6, 3),
+            lambda: exp_var_mobius(3, 6, 1),
+            lambda: exp_var_mobius(3, 6, 4),
+            lambda: exp_var_divisor(3, 6, 1, k=3),
+            lambda: exp_var_divisor(3, 6, 3, k=2),
+            lambda: exp_var_G(3, 6, P(3, "1,0,1")),
+            lambda: exp_ap_primes(3, 6, P(3, "1,1"), P(3, "2")),
+        ]
+
+    @staticmethod
+    def report(f):
+        d = f().to_dict()
+        d.pop("millis")
+        return d
+
+    def test_reports_independent_of_segment_size(self, monkeypatch):
+        whole = [self.report(f) for f in self.calls()]
+        # segments of 9 rows (s = 4): classes with h + 1 > 2 span segments
+        monkeypatch.setattr(experiments, "_SHARD", 9)
+        assert [self.report(f) for f in self.calls()] == whole
+
+    def test_no_row_kernel_on_the_exhaustive_route(self, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise AssertionError("row kernel called on an exhaustive scan")
+
+        for name in ("batch_is_irreducible", "batch_mobius", "batch_exponent_counts",
+                     "batch_divisor_k", "proper_prime_power_indices"):
+            monkeypatch.setattr(experiments._batch, name, kernel)
+        for f in self.calls():
+            f()
+
+    def test_over_budget_raises_before_the_sieve(self, monkeypatch):
+        sieved = []
+        real = experiments._batch.sieve_profiles
+
+        def spy(*args):
+            sieved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments._batch, "sieve_profiles", spy)
+        small = [
+            lambda: exp_prime_count(3, 6, budget=700),
+            lambda: exp_interval_primes(3, 6, 1, mode="exhaustive", budget=700),
+            lambda: exp_var_psi(3, 6, 0, budget=700),
+            lambda: exp_var_mobius(3, 6, 1, budget=700),
+            lambda: exp_var_divisor(3, 6, 1, k=3, budget=700),
+            lambda: exp_var_G(3, 6, P(3, "1,0,1"), budget=700),
+            lambda: exp_ap_primes(3, 6, P(3, "1,1"), P(3, "2"), budget=700),
+        ]
+        for f in small:
+            with pytest.raises(BudgetExceeded):
+                f()
+        assert sieved == []
+        for f in self.calls():
+            f()
+        assert len(sieved) == len(self.calls())
+
+    @pytest.mark.parametrize("q,n,h", [(3, 6, 1), (5, 4, 0), (3, 5, 3)])
+    def test_sieve_sums_equal_kernel_sums(self, q, n, h):
+        everything = q ** (n - h - 1)
+        for exp, kwargs in ((exp_var_psi, {}), (exp_var_mobius, {}),
+                            (exp_var_divisor, {"k": 3}), (exp_interval_primes, {})):
+            sieve = exp(q, n, h, mode="exhaustive", **kwargs)
+            kernel = exp(q, n, h, mode="sampled", intervals=everything, **kwargs)
+            assert kernel.samples == everything
+            for key in ("variance_exact", "mean_exact", "mean_square_exact"):
+                assert sieve.extra.get(key) == kernel.extra.get(key)
+            if exp is exp_interval_primes:
+                assert sieve.extra["total_count"] == sum(kernel.extra["counts"])
+
+    @pytest.mark.parametrize("k", [600, 1000])
+    def test_divisor_sums_exact_past_int64(self, k):
+        rep = exp_var_divisor(3, 8, 6, k=k)
+        assert rep.extra["mean_matches_identity"] is True
+        ctx = make_field(3)
+        sums = _class_sums(ctx, 8, 1, None, None, 10**6,
+                           lambda c: experiments._batch.divisor_k_from_counts(c, k))
+        rows = _class_sums(ctx, 8, 1,
+                           lambda blk, idx: experiments._batch.batch_divisor_k(blk, ctx, k),
+                           np.arange(3**6), 10**6)
+        assert list(sums) == list(rows)
+        assert sum(sums) == 3**8 * math.comb(8 + k - 1, k - 1)
+
+
+class TestSampleCounts:
+    def test_zero_or_negative_counts_rejected(self):
+        ctx = make_field(5)
+        st = ShiftTuple((Poly.zero(ctx), Poly.one(ctx)))
+        calls = [
+            lambda c: exp_var_psi(5, 4, 1, mode="sampled", intervals=c),
+            lambda c: exp_var_mobius(5, 4, 1, mode="sampled", intervals=c),
+            lambda c: exp_var_lambda2(5, 4, 1, mode="sampled", intervals=c),
+            lambda c: exp_var_divisor(5, 4, 1, mode="sampled", intervals=c),
+            lambda c: exp_interval_primes(5, 4, 1, intervals=c),
+            lambda c: exp_interval_cycles(5, 4, 1, (0, 0, 0, 1), intervals=c),
+            lambda c: exp_chowla(5, 4, st, mode="sampled", samples=c),
+            lambda c: exp_divisor_corr(5, 4, 2, Poly.one(ctx), mode="sampled", samples=c),
+        ]
+        for f in calls:
+            for count in (0, -3):
+                with pytest.raises(PreconditionError, match=">= 1"):
+                    f(count)
+
+
 class TestPrimeCount:
     def test_exhaustive_matches_necklace(self):
         for q, n in [(2, 6), (3, 5), (5, 4), (7, 3)]:
@@ -340,6 +456,17 @@ class TestDivisorCorr:
             exp_divisor_corr(5, 2, 2, P(5, "0,0,1"))
         with pytest.raises(EvenCharacteristic):
             exp_divisor_corr(2, 3, 2, Poly.one(make_field(2)))
+
+    def test_large_r_stays_exact(self):
+        # d_r of cubics reaches r^3, past int64 for r = 3e6
+        q, r = 5, 3_000_000
+        ctx = make_field(q)
+        blk = monic_block(ctx, 3, 0, q**3)
+        got = _divisor_r_rows(ctx, blk, r)
+        assert all(got[i] == divisor_k(Poly(ctx, [int(c) for c in blk[i]] + [1]), r)
+                   for i in range(0, q**3, 4))
+        rep = exp_divisor_corr(q, 3, r, Poly.one(ctx))
+        assert rep.predicted["square_of_mean"] == math.comb(r + 2, 3) ** 2
 
     def test_sampled_close_to_exhaustive(self):
         shift = Poly.one(make_field(5))
