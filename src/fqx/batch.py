@@ -12,7 +12,9 @@ over F_p[x], segmented by the top coefficients, whose per-segment profile
 gives Lambda, mu and d_k through the `*_from_counts` readouts.  Sampled
 rows, sampled interval classes and shifted rows, which have no index
 structure to sieve, use the per-row kernels (determinants, discriminants,
-gcds, trial division); they are also the sieve's independent cross-check.
+and the (degree, exponent) profile read from deg gcd(f, (x^{q^d} - x)^j),
+whose cost does not grow with the number of primes); they are also the
+sieve's independent cross-check.
 
 Numeric discipline: coefficients stay reduced mod p except inside short
 delayed-reduction windows whose bounds fit comfortably in int64
@@ -121,11 +123,21 @@ def x_power_q_mod(f_low: np.ndarray, p: int) -> np.ndarray:
 
 
 def frobenius_mod(f_low: np.ndarray, p: int, dmax: int) -> list[np.ndarray]:
-    """[x^{p^d} mod f for d = 1..dmax], via composition with x^p mod f."""
+    """[x^{p^d} mod f for d = 1..dmax].
+
+    h -> h^p is F_p-linear on F_p[x]/(f), with matrix columns (x^p)^i mod
+    f, so each power after x^p is one matrix-vector product.
+    """
+    rows, n = f_low.shape
     g1 = x_power_q_mod(f_low, p)
     out = [g1]
-    for _ in range(dmax - 1):
-        out.append(compose_mod(g1, out[-1], f_low, p))
+    if dmax > 1:
+        M = np.zeros((rows, n, n), dtype=np.int64)
+        M[:, 0, 0] = 1
+        for i in range(1, n):
+            M[:, :, i] = g1 if i == 1 else block_mulmod(M[:, :, i - 1], g1, f_low, p)
+        for _ in range(dmax - 1):
+            out.append(np.matmul(M, out[-1][:, :, None])[:, :, 0] % p)
     return out
 
 
@@ -243,43 +255,48 @@ def batch_mobius(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 def batch_gcd_degree(A: np.ndarray, dA: np.ndarray, B: np.ndarray, dB: np.ndarray,
                      p: int) -> np.ndarray:
-    """Degrees of gcd for row pairs, by a masked Euclidean elimination.
+    """Degrees of gcd for row pairs, by a lockstep Euclidean elimination.
 
     A, B: (rows, W) reduced coefficient arrays; dA, dB their degrees
     (-1 marks the zero polynomial).  gcd(0, 0) never occurs in our calls.
     All four inputs are consumed.
+
+    Rows are held top first, column 0 at degree dA (dB).  B's top
+    coefficient is never zero; A's may be, dA then being an upper bound.
+    One step swaps A and B where dA < dB and A's top is nonzero, replaces
+    A by lc(B) A - lc(A) x^(dA-dB) B, which is the same columnwise
+    combination for every row and needs no inverse, and drops A's now
+    zero top column.  A row is done when A is zero: its gcd is B.
     """
-    rows, W = A.shape
-    cols = np.arange(W, dtype=np.int64)
-    while True:
-        act = dB >= 0
-        if not act.any():
-            return dA
-        swap = act & (dA < dB)
+    W = A.shape[1]
+    out = dA.copy()
+    live = np.flatnonzero(dB >= 0)
+    if live.size == 0:
+        return out
+    src = np.arange(W, dtype=np.int64)[None, :]
+
+    def top_first(M, d):
+        s = d[:, None] - src
+        return np.where(s >= 0, np.take_along_axis(M, np.maximum(s, 0), axis=1), 0)
+
+    a, da = top_first(A[live], dA[live]), dA[live]
+    b, db = top_first(B[live], dB[live]), dB[live]
+    while live.size:
+        swap = (da < db) & (a[:, 0] != 0)
         if swap.any():
-            tmp = A[swap].copy()
-            A[swap] = B[swap]
-            B[swap] = tmp
-            t = dA[swap].copy()
-            dA[swap] = dB[swap]
-            dB[swap] = t
-        ai = np.flatnonzero(act)
-        lcA = A[ai, dA[ai]]
-        lcB = B[ai, dB[ai]]
-        c = lcA * modinv_vec(lcB, p) % p
-        shift = (dA[ai] - dB[ai])[:, None]
-        src = cols[None, :] - shift
-        shifted = np.where(src >= 0, B[ai[:, None], np.maximum(src, 0)], 0)
-        A[ai] = (A[ai] - c[:, None] * shifted) % p
-        nz = A[ai] != 0
-        has = nz.any(axis=1)
-        dA[ai] = np.where(has, W - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-        # a row whose A just became zero is finished: gcd = B
-        zeroA = np.zeros(rows, dtype=bool)
-        zeroA[ai] = dA[ai] < 0
-        if zeroA.any():
-            dA[zeroA] = dB[zeroA]
-            dB[zeroA] = -1
+            a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+            da, db = np.where(swap, db, da), np.where(swap, da, db)
+        a = b[:, :1] * a - a[:, :1] * b
+        a -= a // p * p  # a % p; numpy takes remainders far slower
+        a[:, :-1] = a[:, 1:]
+        a[:, -1] = 0
+        da = da - 1
+        done = ~a.any(axis=1)
+        if done.any():
+            out[live[done]] = db[done]
+            keep = ~done
+            live, a, da, b, db = live[keep], a[keep], da[keep], b[keep], db[keep]
+    return out
 
 
 def reduce_rows(rows: np.ndarray, q_low: np.ndarray, p: int) -> np.ndarray:
@@ -397,107 +414,87 @@ def batch_von_mangoldt(block: np.ndarray, ctx: FieldCtx, start_index: int,
     return lam
 
 
-def batch_cycle_types(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Cycle types (rows, n) of monic rows, degrees n <= 5.
-
-    Squarefree rows: lambda_1 = #roots, lambda_2 from deg gcd(f, x^{q^2}-x),
-    the residual degree is then a single forced part.  Rows with disc = 0
-    (density ~1/q) fall back to scalar factorization.
-    """
-    from .polyring import Poly, cycle_type
-
-    p = ctx.p
-    rows, n = block.shape
-    if n > 5:
-        raise ValueError("batch cycle types implemented for n <= 5")
-    lam = np.zeros((rows, n), dtype=np.int64)
-    if n == 1:
-        lam[:, 0] = 1
-        return lam
-    sq = batch_disc(block, p) != 0
-    r1 = count_roots(block, p)
-    need_gcd = sq & (n - r1 >= 4)
-    lam[sq, 0] = r1[sq]
-    if need_gcd.any():
-        gi = np.flatnonzero(need_gcd)
-        F = block[gi]
-        g2 = frobenius_mod(F, p, 2)[1]
-        g2[:, 1] = (g2[:, 1] - 1) % p
-        W = n + 1
-        A = np.zeros((gi.size, W), dtype=np.int64)
-        A[:, :n] = F
-        A[:, n] = 1
-        B = np.zeros((gi.size, W), dtype=np.int64)
-        B[:, :n] = g2
-        nz = B != 0
-        has = nz.any(axis=1)
-        dB = np.where(has, W - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-        dA = np.full(gi.size, n, dtype=np.int64)
-        d = batch_gcd_degree(A, dA, B, dB, p)
-        lam2 = (d - r1[gi]) // 2
-        lam[gi, 1] = lam2
-    # forced residual part for all squarefree rows
-    parts = n - lam[:, 0] - 2 * lam[:, 1]
-    si = np.flatnonzero(sq)
-    res = parts[si]
-    two = res == 2  # rootless residual of degree 2 is an irreducible quadratic
-    lam[si[two], 1] += 1
-    for m in range(3, n + 1):
-        hit = si[res == m]
-        lam[hit, m - 1] += 1
-    # non-squarefree rows: scalar fallback
-    for i in np.flatnonzero(~sq):
-        f = Poly(ctx, list(block[i]) + [1])
-        lam[i] = cycle_type(f).lam
-    return lam
-
-
 def _gcd_degree_with(block: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
-    """deg gcd(f, g) for monic f = x^n + block rows and width-(n+1) rows g."""
+    """deg gcd(f, g) for monic f = x^n + block rows and rows g of width <= n+1."""
     rows, n = block.shape
     A = np.concatenate([block, np.ones((rows, 1), dtype=np.int64)], axis=1)
     dA = np.full(rows, n, dtype=np.int64)
-    nz = other != 0
-    has = nz.any(axis=1)
-    dB = np.where(has, other.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-    return batch_gcd_degree(A, dA, other, dB, p)
+    B = np.zeros((rows, n + 1), dtype=np.int64)
+    B[:, : other.shape[1]] = other
+    nz = B != 0
+    dB = np.where(nz.any(axis=1), n - np.argmax(nz[:, ::-1], axis=1), -1)
+    return batch_gcd_degree(A, dA, B, dB, p)
 
 
-def _prime_degree_profile(block: np.ndarray, ctx: FieldCtx, dmax: int) -> np.ndarray:
-    """nu[:, d] = number of distinct primes of degree d dividing each row,
-    for d = 1..dmax, from deg gcd(f, x^{q^d} - x)."""
+_PROFILE_CELLS = 1 << 19  # rows * n^2 per profile chunk: a 4 MiB Frobenius matrix
+
+
+def _factor_profile(block: np.ndarray, ctx: FieldCtx, read) -> np.ndarray:
+    """read(N, rest) over the (degree, exponent) profile of monic rows,
+    read from gcd degrees.
+
+    N[i, d, j] is the number of primes of degree d <= n/2 dividing row i
+    at least j times (zero past j = n/d), and rest[i] the degree of the one
+    prime factor of degree > n/2, or 0; read maps them to one array over
+    the rows.
+
+    x^{q^d} - x is the product of the monic primes of degree dividing d, so
+    deg gcd(f, (x^{q^d} - x)^j) = sum over P | f with deg P | d of
+    deg P min(e_P, j).  Its rise from j-1 to j is the sum over e | d of
+    e N[e, j], which gives N[d, j] once the divisors e < d are done.  Step
+    j runs only on the rows whose degree-d count rose at step j-1 and that
+    have d degrees left unaccounted for.  No step depends on the
+    characteristic, so exponents >= p come out exact.  Rows go through in
+    chunks of _PROFILE_CELLS / n^2, which bounds the working memory.
+    """
     rows, n = block.shape
-    p = ctx.p
-    frob = frobenius_mod(block, p, dmax)
-    S = np.zeros((rows, dmax + 1), dtype=np.int64)
-    for d in range(1, dmax + 1):
-        B = np.zeros((rows, n + 1), dtype=np.int64)
-        B[:, :n] = frob[d - 1]
-        B[:, 1] = (B[:, 1] - 1) % p
-        S[:, d] = _gcd_degree_with(block, B, p)
-    nu = np.zeros((rows, dmax + 1), dtype=np.int64)
-    for d in range(1, dmax + 1):
-        acc = S[:, d].copy()
-        for e in range(1, d):
-            if d % e == 0:
-                acc -= e * nu[:, e]
-        nu[:, d] = acc // d
-    return nu
+    step = max(1, _PROFILE_CELLS // max(1, n * n))
+    return np.concatenate([read(*_profile_chunk(block[lo : lo + step], ctx.p))
+                           for lo in range(0, max(rows, 1), step)])
 
 
-def _lambda2_from_counts(n: int, R: np.ndarray, sum_d: np.ndarray,
-                         sum_d2: np.ndarray) -> np.ndarray:
-    """Lambda_2 given the number of distinct primes and the first two power
-    sums of their degrees; exponents are forced for R = 1 and drop out for
-    R = 2 (Lambda_2(P^a Q^b) = 2 deg P deg Q)."""
-    out = np.zeros(R.shape[0], dtype=np.int64)
-    one = R == 1
-    if one.any():
-        ds = sum_d[one]
-        out[one] = (2 * (n // ds) - 1) * ds * ds
-    two = R == 2
-    out[two] = sum_d[two] ** 2 - sum_d2[two]
-    return out
+def _profile_chunk(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, rest) of _factor_profile for the rows of block."""
+    rows, n = block.shape
+    half = n // 2
+    N = np.zeros((rows, half + 1, n + 2), dtype=np.int64)
+    left = np.full(rows, n, dtype=np.int64)
+    frob = frobenius_mod(block, p, half) if half else []
+    for d in range(1, half + 1):
+        at = np.flatnonzero(left >= d)
+        F = block[at]
+        g = frob[d - 1][at]
+        g[:, 1] = (g[:, 1] - 1) % p  # x^{q^d} - x mod f
+        divisors = [e for e in range(1, d) if d % e == 0]
+        power, prev = g, np.zeros(at.size, dtype=np.int64)
+        for j in range(1, n // d + 1):
+            S = _gcd_degree_with(F, power, p)
+            rise = S - prev
+            for e in divisors:
+                rise -= e * N[at, e, j]
+            N[at, d, j] = count = rise // d
+            left[at] -= d * count
+            step = (count > 0) & (left[at] >= d)
+            if not step.any():
+                break
+            at, F, g, prev = at[step], F[step], g[step], S[step]
+            power = block_mulmod(power[step], g, F, p)
+    return N, left
+
+
+def batch_cycle_types(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Cycle types (rows, n) of monic rows: lam[:, d-1] counts the prime
+    factors of degree d with multiplicity, read off the gcd profile."""
+    n = block.shape[1]
+
+    def read(N, rest):
+        lam = np.zeros((rest.size, n), dtype=np.int64)
+        lam[:, : n // 2] = N[:, 1:, :].sum(axis=2)
+        big = np.flatnonzero(rest)
+        lam[big, rest[big] - 1] += 1
+        return lam
+
+    return _factor_profile(block, ctx, read)
 
 
 def batch_lambda2(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
@@ -505,44 +502,25 @@ def batch_lambda2(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
     Supported on polynomials with at most two distinct primes: P^a gives
     (2a-1) deg(P)^2 and P^a Q^b gives 2 deg(P) deg(Q), independent of the
-    exponents.  For p > n the profile of primes of degree <= n/2 plus one
-    radical-degree pass (valid since no exponent can reach p) settles every
-    row; otherwise fall back to the full degree profile.
+    exponents.  The distinct primes and their degrees come from the gcd
+    profile; for one prime the exponent is forced, a = n / deg P.
     """
-    rows, n = block.shape
-    p = ctx.p
-    if n == 0:
-        return np.zeros(rows, dtype=np.int64)
-    if n == 1:
-        return np.ones(rows, dtype=np.int64)
-    dvec_full = np.arange(n + 1, dtype=np.int64)
-    if p <= n:
-        nu = _prime_degree_profile(block, ctx, n)
-        R = nu[:, 1:].sum(axis=1)
-        return _lambda2_from_counts(n, R, nu @ dvec_full,
-                                    nu @ (dvec_full * dvec_full))
-    half = n // 2
-    nu = _prime_degree_profile(block, ctx, half)
-    dvec = np.arange(half + 1, dtype=np.int64)
-    R_s = nu[:, 1:].sum(axis=1)
-    T = nu @ dvec
-    T2 = nu @ (dvec * dvec)
-    out = np.zeros(rows, dtype=np.int64)
-    # no prime of degree <= n/2 forces f irreducible
-    out[R_s == 0] = n * n
-    sel = (R_s == 1) | (R_s == 2)
-    if sel.any():
-        sub = np.ascontiguousarray(block[sel])
-        fp = np.zeros((sub.shape[0], n + 1), dtype=np.int64)
-        fp[:, :n] = derivative_rows(sub, p)
-        rad = sub.shape[1] - _gcd_degree_with(sub, fp, p)  # sum of distinct prime degrees
-        Ts, T2s, Rs = T[sel], T2[sel], R_s[sel]
-        large = rad > Ts  # one more prime, of degree rad - Ts > n/2
-        R_tot = Rs + large
-        sum_d = np.where(large, rad, Ts)
-        sum_d2 = T2s + large * (rad - Ts) ** 2
-        out[sel] = _lambda2_from_counts(n, R_tot, sum_d, sum_d2)
-    return out
+    n = block.shape[1]
+
+    def read(N, rest):
+        nu = N[:, :, 1]  # distinct primes of each degree d <= n/2
+        dvec = np.arange(nu.shape[1], dtype=np.int64)
+        R = nu.sum(axis=1) + (rest > 0)
+        sum_d = nu @ dvec + rest
+        sum_d2 = nu @ (dvec * dvec) + rest * rest
+        out = np.zeros(rest.size, dtype=np.int64)
+        one = R == 1
+        out[one] = (2 * (n // sum_d[one]) - 1) * sum_d[one] ** 2
+        two = R == 2
+        out[two] = sum_d[two] ** 2 - sum_d2[two]
+        return out
+
+    return _factor_profile(block, ctx, read)
 
 
 def batch_divisor_r_small(block: np.ndarray, ctx: FieldCtx, r: int) -> np.ndarray:
@@ -573,49 +551,28 @@ def batch_divisor_r_small(block: np.ndarray, ctx: FieldCtx, r: int) -> np.ndarra
 
 
 def batch_exponent_counts(block: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Factorization exponent profile of monic rows, by trial division.
+    """Factorization exponent profile of monic rows, from gcd degrees.
 
     out[i, e] is the number of distinct irreducible factors dividing row i
-    exactly e times.  Primes of degree <= n/2 are found by divisibility
-    against P, P^2, ... (one fixed-modulus reduction each, restricted to
-    the rows still divisible); whatever remains after removing them is 1
-    or a single irreducible of degree > n/2 and lands in the e = 1 slot.
-    Cost scales with pi_q(n/2) reductions of the whole block.
+    exactly e times, read off the (degree, exponent) profile of
+    `_factor_profile`; the one prime of degree > n/2 that may be left over
+    lands in the e = 1 slot.  The cost is O(n log n) batched gcds and the
+    Frobenius powers, whatever the number of primes of degree <= n/2.
     """
-    rows, n = block.shape
-    p = ctx.p
-    counts = np.zeros((rows, n + 1), dtype=np.int64)
-    residual = np.full(rows, n, dtype=np.int64)
-    expo = np.zeros(rows, dtype=np.int64)
-    for d in range(1, n // 2 + 1):
-        cand = monic_block(ctx, d, 0, p**d)
-        primes = cand if d == 1 else cand[batch_is_irreducible(cand, ctx)]
-        for low in primes:
-            full = np.concatenate([low, np.ones(1, dtype=np.int64)])
-            mod = full
-            alive = np.flatnonzero(
-                (reduce_mod(block, mod[:-1], p) == 0).all(axis=1))
-            if alive.size == 0:
-                continue
-            expo[:] = 0
-            expo[alive] = 1
-            t = 1
-            while (t + 1) * d <= n and alive.size:
-                mod = np.convolve(mod, full) % p
-                sub = (reduce_mod(block[alive], mod[:-1], p) == 0).all(axis=1)
-                alive = alive[sub]
-                expo[alive] += 1
-                t += 1
-            nz = np.flatnonzero(expo)
-            counts[nz, expo[nz]] += 1
-            residual[nz] -= d * expo[nz]
-    counts[residual > 0, 1] += 1
-    return counts
+    n = block.shape[1]
+
+    def read(N, rest):
+        counts = np.zeros((rest.size, n + 1), dtype=np.int64)
+        counts[:, 1:] = (N[:, :, 1:-1] - N[:, :, 2:]).sum(axis=1)
+        counts[:, 1] += rest > 0
+        return counts
+
+    return _factor_profile(block, ctx, read)
 
 
 def batch_divisor_k(block: np.ndarray, ctx: FieldCtx, k: int) -> np.ndarray:
-    """d_k of monic rows for any degree, via the trial-division exponent
-    profile: d_k = prod over factors of binom(e + k-1, k-1)."""
+    """d_k of monic rows for any degree, via the gcd exponent profile:
+    d_k = prod over factors of binom(e + k-1, k-1)."""
     rows, n = block.shape
     if k < 1:
         raise ValueError("need k >= 1")

@@ -55,7 +55,6 @@ from .field import FieldCtx, int_mobius, make_field
 from .polyring import (
     CycleType,
     Poly,
-    cycle_type,
     factor,
     gcd,
     poly_to_string,
@@ -459,23 +458,22 @@ def exp_interval_primes(q: int, n: int, h: int, mode: str = "sampled",
 
 
 def _type_id_lookup(ctx: FieldCtx, n: int, lams: list):
-    """Vectorized block -> partition-id map (n <= 5 uses the batch kernel)."""
-    key_of = {lam.lam: i for i, lam in enumerate(lams)}
-    if n <= 5:
-        radix = np.array([(n + 1) ** j for j in range(n)], dtype=np.int64)
-        lut = np.full((n + 1) ** n, -1, dtype=np.int64)
-        for lam in lams:
-            lut[int(np.array(lam.lam, dtype=np.int64) @ radix)] = key_of[lam.lam]
+    """Vectorized block -> partition-id map, through batch_cycle_types.
 
-        def ids(blk: np.ndarray) -> np.ndarray:
-            return lut[_batch.batch_cycle_types(blk, ctx) @ radix]
-
-        return ids
+    A cycle type is coded in the mixed radix whose digit d counts the
+    degree-d parts (at most n // d of them); the partitions' codes are
+    found by binary search.
+    """
+    if math.prod(n // d + 1 for d in range(1, n + 1)) >= 2**63:
+        raise DegreeOutOfRange("cycle-type codes are int64: need n <= 35")
+    radix = np.cumprod([1] + [n // d + 1 for d in range(1, n)], dtype=np.int64)
+    codes = np.array([np.array(lam.lam, dtype=np.int64) @ radix for lam in lams],
+                     dtype=np.int64)
+    order = np.argsort(codes)
 
     def ids(blk: np.ndarray) -> np.ndarray:
-        return np.array(
-            [key_of[cycle_type(Poly(ctx, list(r) + [1])).lam] for r in blk],
-            dtype=np.int64)
+        code = _batch.batch_cycle_types(blk, ctx) @ radix
+        return order[np.searchsorted(codes[order], code)]
 
     return ids
 
@@ -705,7 +703,8 @@ def exp_divisor_corr(q: int, n: int, r: int, shift: Poly,
     mean = Fraction(acc, q**n if nrows is None else nrows)
     pred = math.comb(n + r - 1, r - 1) ** 2
     abs_err = abs(float(mean) - pred)
-    verdict = abs_err <= max(1.0, 10 / math.sqrt(q))
+    in_range = q >= ASYMPTOTIC_MIN_Q
+    verdict = (abs_err <= max(1.0, 10 / math.sqrt(q))) if in_range else None
     return ExperimentReport(
         experiment="divisor_corr",
         params={"q": q, "n": n, "r": r, "shift": poly_to_string(shift)},
@@ -1039,28 +1038,35 @@ def _count_middle_pairs(ctx: FieldCtx, n: int, h: int, m: int,
 
     Writing c_j for the product coefficients, the constraints are
     c_j = A_j for h+1 <= j <= n-1.  The equations with j >= m determine
-    b_{j-m} top down; the remaining m-h-1 equations are checks.
+    b_{j-m} top down; the remaining m-h-1 equations are checks.  Both run
+    on a (classes x M_m) grid, in chunks of at most _SHARD cells, in the
+    narrowest signed dtype that holds m (p-1)^2 + p, the widest value a
+    sum of at most m products takes before it is reduced.
     """
     p = ctx.p
     nb = n - m
-    A_rows = _batch.index_rows(classes, n - h - 1, p)
-    a_blk = _batch.monic_block(ctx, m, 0, p**m)
-    rows = a_blk.shape[0]
-    counts = np.empty(classes.size, dtype=np.int64)
-    for ci in range(classes.size):
-        A = A_rows[ci]  # A[t] = required coefficient at degree h+1+t
-        b = np.zeros((rows, nb + 1), dtype=np.int64)
-        b[:, nb] = 1
-        for t in range(nb - 1, -1, -1):
-            acc = np.full(rows, int(A[m + t - h - 1]), dtype=np.int64)
-            for i in range(1, min(m, nb - t) + 1):
-                acc -= a_blk[:, m - i] * b[:, t + i]
-            b[:, t] = acc % p
-        ok = np.ones(rows, dtype=bool)
-        for j in range(h + 1, m):
-            c = np.zeros(rows, dtype=np.int64)
-            for i in range(0, j + 1):
-                c += a_blk[:, i] * b[:, j - i]
-            ok &= (c % p) == int(A[j - h - 1])
-        counts[ci] = int(ok.sum())
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if m * (p - 1) ** 2 + p <= np.iinfo(t).max)
+    A_all = _batch.index_rows(classes, n - h - 1, p).astype(dtype)
+    a_all = _batch.monic_block(ctx, m, 0, p**m).T.astype(dtype)  # a_all[i] = a_i
+    width = min(p**m, _SHARD)
+    per = max(1, _SHARD // width)
+    counts = np.zeros(classes.size, dtype=np.int64)
+    for c0 in range(0, classes.size, per):
+        A = A_all[c0 : c0 + per, :, None]  # A[:, t] = coefficient at degree h+1+t
+        for r0 in range(0, p**m, width):
+            a = a_all[:, r0 : r0 + width]
+            b = [None] * nb  # b_nb = 1
+            for t in range(nb - 1, -1, -1):
+                acc = np.repeat(A[:, m + t - h - 1], a.shape[1], axis=1)
+                for i in range(1, min(m, nb - t) + 1):
+                    acc -= a[m - i] if t + i == nb else a[m - i] * b[t + i]
+                b[t] = acc - acc // p * p  # = acc % p; numpy's % is far slower
+            ok = True
+            for j in range(h + 1, m):
+                c = a[0] * b[j]
+                for i in range(1, j + 1):
+                    c += a[i] * b[j - i]
+                ok = ok & (c - c // p * p == A[:, j - h - 1])
+            counts[c0 : c0 + per] += ok.sum(axis=1)
     return counts

@@ -120,13 +120,22 @@ def test_batch_irreducible_large_degree_sample():
         assert got[i] == is_irreducible(row_poly(ctx, F[i]))
 
 
-@pytest.mark.parametrize("q", [2, 3, 31])
+@pytest.mark.parametrize("q", [2, 3, 31, 65521])
 def test_batch_gcd_degree(q):
     ctx = make_field(q)
     W = 7
     rng = np.random.default_rng(q)
     A = rng.integers(0, q, size=(250, W)).astype(np.int64)
     B = rng.integers(0, q, size=(250, W)).astype(np.int64)
+    # zero, constant and equal rows, and random rows of lower degree
+    A[:4] = 0
+    B[0] = 0
+    A[4:8, 1:] = 0
+    B[8] = A[8]
+    A[10:60, 3:] = 0
+    B[60:110, 2:] = 0
+    A[110:130] = B[110:130]
+    A[110:130, 0] = (A[110:130, 0] + 1) % q
     keep = ~((A == 0).all(1) & (B == 0).all(1))
     A, B = A[keep], B[keep]
 
@@ -310,6 +319,54 @@ def test_exponent_counts_residual_prime():
         fac = scalar_factor(row_poly(ctx, F[i]))
         assert omega[i] == len(fac.factors)
         assert Omega[i] == sum(e for _, e in fac.factors)
+
+
+def _check_profile_against_factor(ctx, F):
+    """batch_exponent_counts and batch_cycle_types of the rows F against
+    the scalar factorization, row by row."""
+    from fqx.polyring import factor as scalar_factor
+
+    n = F.shape[1]
+    counts = batch.batch_exponent_counts(F, ctx)
+    types = batch.batch_cycle_types(F, ctx)
+    for i in range(F.shape[0]):
+        want_counts = [0] * (n + 1)
+        want_types = [0] * n
+        for P, e in scalar_factor(row_poly(ctx, F[i])).factors:
+            want_counts[e] += 1
+            want_types[P.degree - 1] += e
+        assert counts[i].tolist() == want_counts
+        assert types[i].tolist() == want_types
+
+
+@pytest.mark.parametrize("q,nmax", [(2, 12), (3, 8)])
+def test_gcd_profile_exhaustive(q, nmax):
+    # all of M_n, exponents >= p included (x^8 and (x^2+x+1)^3 over F_2)
+    ctx = make_field(q)
+    for n in range(1, nmax + 1):
+        _check_profile_against_factor(ctx, batch.monic_block(ctx, n, 0, q**n))
+
+
+@pytest.mark.parametrize("q,n", [(37, 5), (101, 4)])
+def test_gcd_profile_seeded_rows(q, n):
+    ctx = make_field(q)
+    rows = np.random.default_rng(q * n).integers(0, q**n, size=1500)
+    F = batch.index_rows(rows, n, q)
+    # and some squareful rows, which random rows rarely are
+    x, one = Poly.x(ctx), Poly.one(ctx)
+    extra = [x**n, (x + one) ** n, x * x * (x + one) ** (n - 2)]
+    F = np.concatenate([F, np.array([f.coeffs[:n] for f in extra], dtype=np.int64)])
+    _check_profile_against_factor(ctx, F)
+
+
+def test_gcd_profile_chunks_and_empty_blocks(monkeypatch):
+    ctx = make_field(5)
+    F = batch.monic_block(ctx, 4, 0, 5**4)
+    readers = (batch.batch_exponent_counts, batch.batch_cycle_types, batch.batch_lambda2)
+    whole = [r(F, ctx) for r in readers]
+    monkeypatch.setattr(batch, "_PROFILE_CELLS", 100)  # chunks of 6 rows
+    assert all((r(F, ctx) == w).all() for r, w in zip(readers, whole))
+    assert [r(F[:0], ctx).shape for r in readers] == [(0, 5), (0, 4), (0,)]
 
 
 @pytest.mark.parametrize("k", [600, 1000])

@@ -71,6 +71,13 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(out)["verdict"] is False
 
+    def test_divisor_corr_below_asymptotic_q_not_judged(self, capsys):
+        # q = 17 < 25: the mean misses 100 by more than 10/sqrt(q), unjudged
+        code, out, _ = run(capsys, "divisor-corr", "--q", "17", "--n", "4",
+                           "--r", "3", "--shift", "1")
+        assert code == 0
+        assert json.loads(out)["verdict"] is None
+
     def test_other_library_error_is_1(self, capsys):
         # k >= 3 midrange divisor integral has no closed form
         code, _, err = run(capsys, "matrix-integral", "--family", "divisor",

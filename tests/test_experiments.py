@@ -51,7 +51,7 @@ from fqx.experiments import (
 from fqx import experiments
 from fqx.experiments import _class_sums, _divisor2_interval_sums, _divisor_r_rows, _scan
 from fqx.field import make_field
-from fqx.polyring import CycleType, Poly, divisor_k, poly_from_string
+from fqx.polyring import CycleType, Poly, cycle_type, divisor_k, poly_from_string
 from fqx.rmt import divisor_integral
 
 
@@ -340,6 +340,16 @@ class TestIntervalCycles:
         with pytest.raises(DegreeOutOfRange):
             exp_interval_cycles(5, 4, 1, CycleType(3, (1, 1, 0)))
 
+    def test_cycle_type_codes_stay_in_int64(self):
+        ctx = make_field(2)
+        lams = list(partitions(9))
+        blk = monic_block(ctx, 9, 0, 2**9)
+        got = experiments._type_id_lookup(ctx, 9, lams)(blk)
+        assert all(lams[got[i]].lam == cycle_type(Poly(ctx, [int(c) for c in blk[i]] + [1])).lam
+                   for i in range(0, 2**9, 3))
+        with pytest.raises(DegreeOutOfRange):
+            experiments._type_id_lookup(ctx, 36, [])
+
 
 class TestCycleCensus:
     def test_exact_counts_q3_n2(self):
@@ -438,9 +448,19 @@ class TestTwin:
 
 class TestDivisorCorr:
     def test_exhaustive_small(self):
+        # q = 7 is below ASYMPTOTIC_MIN_Q: measured but not judged
         rep = exp_divisor_corr(7, 3, 2, Poly.one(make_field(7)))
         assert abs(rep.empirical["mean"] - 16) <= max(1.0, 10 / math.sqrt(7))
+        assert rep.verdict is None
+
+    def test_verdict_at_asymptotic_q(self):
+        q = 29
+        rep = exp_divisor_corr(q, 3, 2, Poly.one(make_field(q)))
+        assert rep.verdict is (rep.abs_error <= max(1.0, 10 / math.sqrt(q)))
         assert rep.verdict is True
+        sa = exp_divisor_corr(q, 4, 2, Poly.one(make_field(q)), mode="sampled",
+                              samples=3000, seed=5)
+        assert sa.verdict is not None
 
     def test_r1_is_constant_one(self):
         # d_1 = 1 identically, so the mean correlation is exactly 1
@@ -594,6 +614,41 @@ class TestVarDivisor:
         direct = _class_sums(
             ctx, n, h, lambda blk, idx: _divisor_r_rows(ctx, blk, 2), None, 10**9)
         assert (split == direct).all()
+
+    @pytest.mark.parametrize("shard", [7, 60])
+    def test_pair_split_chunked(self, monkeypatch, shard):
+        # 7 cells split M_3 (27 rows) into pieces; 60 cells hold two
+        # classes of 27, so chunk boundaries fall inside the class list
+        q, n, h = 3, 7, 1
+        ctx = make_field(q)
+        cls = np.arange(q ** (n - h - 1), dtype=np.int64)
+        whole = _divisor2_interval_sums(ctx, n, h, cls, 10**9)
+        monkeypatch.setattr(experiments, "_SHARD", shard)
+        assert (_divisor2_interval_sums(ctx, n, h, cls, 10**9) == whole).all()
+        picked = cls[[0, 5, 6, 100, 242]]
+        assert (_divisor2_interval_sums(ctx, n, h, picked, 10**9) == whole[picked]).all()
+
+    @pytest.mark.parametrize("q", [7, 11, 127, 131])
+    def test_pair_count_across_dtype_switches(self, q):
+        # m (p-1)^2 + p at m = 2 crosses int8 between 7 and 11 and int16
+        # between 127 and 131; compare with divisors counted one f at a time
+        from fqx.polyring import factor
+
+        n, h, m = 4, 0, 2
+        ctx = make_field(q)
+        cls = np.random.default_rng(q).integers(0, q ** (n - h - 1), size=3)
+        got = experiments._count_middle_pairs(ctx, n, h, m, cls)
+        for c, count in zip(cls, got):
+            top = [int(v) for v in experiments._batch.index_rows(
+                np.array([c]), n - h - 1, q)[0]]
+            want = 0
+            for c0 in range(q):  # I(A;0): the constant term runs free
+                ways = [1] + [0] * n  # monic divisors by degree
+                for Pf, e in factor(Poly(ctx, [c0] + top + [1])).factors:
+                    ways = [sum(ways[d - j * Pf.degree] for j in range(e + 1)
+                                if d >= j * Pf.degree) for d in range(n + 1)]
+                want += ways[m]
+            assert count == want
 
     def test_k2_prediction_equals_binomial(self):
         # matrix-integral route vs the reflected binomial, all n <= 12
