@@ -80,16 +80,24 @@ def mul_by_x_mod(g: np.ndarray, f_low: np.ndarray, p: int) -> np.ndarray:
 
 
 def block_mulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray, p: int) -> np.ndarray:
-    """a*b mod f rowwise; a, b of shape (rows, n), moduli x^n + f_low."""
+    """a*b mod f rowwise; a, b of shape (rows, n), moduli x^n + f_low with
+    f_low of shape (n,) or (rows, n)."""
     rows, n = a.shape
-    acc = np.zeros((rows, 2 * n - 1), dtype=np.int64)
+    # coefficient-major, so each x^k is one contiguous vector: numpy takes
+    # x - x // p * p (x % p for p > 0) several times faster than x % p, but
+    # only on contiguous data
+    aT = np.ascontiguousarray(a.T)
+    bT = np.ascontiguousarray(b.T)
+    fT = np.ascontiguousarray(f_low.T).reshape(n, -1)
+    acc = np.zeros((2 * n - 1, rows), dtype=np.int64)
     for j in range(n):
-        acc[:, j : j + n] += a[:, j : j + 1] * b
+        acc[j : j + n] += aT[j] * bT
     # fold x^k = -x^{k-n} f_low for k = 2n-2 .. n
     for k in range(2 * n - 2, n - 1, -1):
-        t = acc[:, k] % p
-        acc[:, k - n : k] -= t[:, None] * f_low
-    return acc[:, :n] % p
+        t = acc[k] - acc[k] // p * p
+        acc[k - n : k] -= fT * t
+    out = acc[:n]
+    return np.ascontiguousarray((out - out // p * p).T)
 
 
 def compose_mod(outer: np.ndarray, inner: np.ndarray, f_low: np.ndarray, p: int) -> np.ndarray:

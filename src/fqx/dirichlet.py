@@ -12,6 +12,17 @@ The basis construction is candidate-then-verify: for x^m the candidate
 for squarefree Q the CRT factors are cyclic with seeded generator search;
 the discrete-log enumeration then proves the candidate is a basis (any
 collision or undercount raises).
+
+L-polynomials are computed per unit group, not per character: each group
+keeps one lazily filled L-table per mode ("naive", "dft").  The table fills
+one block of consecutive characters (flat `np.ndindex` order of their
+exponent tuples) at a time, `max(1, _LTABLE_CELLS // q^(deg Q - 1))`
+characters per block, so the transients of one block (the characters x
+residues phase matrix and its roots of unity) stay near 1.5 MiB whatever
+the group size.  A block's polynomials are grouped by degree and each group's
+inverse roots come from one stacked eigenvalue call, checked row by row
+against one batched Durand-Kerner run; the Katz spectra use the same
+batched root finder.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +49,11 @@ from .polyring import Poly, factor, powmod
 
 ROOT_TOL = 1e-6
 COEFF_TOL = 1e-9
+# characters * residues per L-table block: about 1.5 MiB of naive-mode
+# transients (int64 phases and their complex roots of unity).  Four times
+# as many cells run no faster, and the heap they leave behind raised the
+# peak RSS of the spectra benchmark by several MiB.
+_LTABLE_CELLS = 1 << 16
 
 
 def _primitive_root(p: int) -> int:
@@ -62,6 +79,13 @@ class DirichletGroup:
         unit in mixed-radix order (basis 0 fastest), -1 for non-units
     digits : int32 array (q^m, r) of exponent tuples (rows of non-units
         are zero and must be masked via pos)
+
+    Cached on first use: the coefficient lattices of `dft_tables()`, the
+    (even, primitive) flag lattices of `character_flags()`, and one L-table
+    per mode, filled one block of `max(1, _LTABLE_CELLS // q^(m-1))`
+    characters at a time by `l_polynomial`; a block holds the coefficient,
+    inverse-root and angle rows of its characters, and filling it takes
+    about 1.5 MiB of transients.
     """
 
     def __init__(self, Q: Poly, shape: str, gens: list[Poly], orders: list[int],
@@ -110,6 +134,9 @@ class DirichletGroup:
         self.scalar_digits = tuple(int(v) for v in self.digits[scalar_root]) if r else ()
         self._dft = None
         self._kernel_digits = None
+        self._flags = None
+        self._l_block_size = max(1, _LTABLE_CELLS // p ** (m - 1))
+        self._l_tables: dict[str, dict[int, _LBlock]] = {"naive": {}, "dft": {}}
 
     def __repr__(self):
         return (f"DirichletGroup(Q={self.Q!r}, shape={self.shape}, "
@@ -146,6 +173,12 @@ class DirichletGroup:
         if self._dft is None:
             self._dft = [_character_fft(self, n, None) for n in range(self.Q.degree)]
         return self._dft
+
+    def character_flags(self):
+        """(even, primitive) boolean lattices over all exponent tuples."""
+        if self._flags is None:
+            self._flags = _lattice_flags(self)
+        return self._flags
 
 
 def build_unit_group(Q: Poly, seed: int = 0, budget: int = 10**8) -> DirichletGroup:
@@ -342,73 +375,124 @@ def _dk_roots(coeff_rows: np.ndarray, iters: int = 400, tol: float = 1e-13) -> n
     return z
 
 
-def _match_roots(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff-style max nearest-neighbor distance between root multisets."""
-    if a.size == 0:
-        return 0.0
-    d1 = np.abs(a[:, None] - b[None, :]).min(axis=1).max()
-    d2 = np.abs(b[:, None] - a[None, :]).min(axis=1).max()
-    return float(max(d1, d2))
+def _match_roots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the Hausdorff-style max nearest-neighbor distance between
+    the root multisets a[i] and b[i]."""
+    d = np.abs(a[:, :, None] - b[:, None, :])
+    return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
 
 
-def _inverse_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse roots of L(u) = sum c_j u^j: roots of the reversed polynomial,
-    found by companion-matrix eigenvalues and checked against Durand-Kerner."""
-    D = len(coeffs) - 1
-    if D == 0:
-        return np.zeros(0, dtype=complex)
-    primary = np.roots(coeffs)  # c_0 z^D + c_1 z^{D-1} + ... + c_D
-    check = _dk_roots(coeffs[None, :])[0]
-    if _match_roots(primary, check) > ROOT_TOL:
+def _inverse_roots(rows: np.ndarray) -> np.ndarray:
+    """Inverse roots of L(u) = sum c_j u^j for coefficient rows of one
+    degree D >= 1: roots of the reversed polynomials, the eigenvalues of the
+    companion matrices np.roots builds, each row checked against
+    Durand-Kerner."""
+    count, D = rows.shape[0], rows.shape[1] - 1
+    comp = np.zeros((count, D, D), dtype=complex)
+    comp[:, 0, :] = -rows[:, 1:] / rows[:, :1]
+    comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+    primary = np.linalg.eigvals(comp)
+    if not (_match_roots(primary, _dk_roots(rows)) <= ROOT_TOL).all():
         raise RootFindingDidNotConverge(
             "companion-matrix and Durand-Kerner roots disagree")
     return primary
 
 
+def _unitary_angles(roots: np.ndarray, p: int) -> np.ndarray:
+    """Sorted eigenphases in [0, 2 pi) of the rows of roots / sqrt(p)."""
+    return np.sort(np.angle(roots / math.sqrt(p)) % (2 * math.pi), axis=1)
+
+
+class _LBlock(NamedTuple):
+    """L-polynomials of one block of characters, one row each; the roots
+    and angles rows are padded past their lengths (degree, n_angles), and
+    n_angles is -1 where the character is imprimitive or trivial."""
+
+    coeffs: np.ndarray
+    degree: np.ndarray
+    inverse_roots: np.ndarray
+    angles: np.ndarray
+    n_angles: np.ndarray
+
+
+def _l_block(group: DirichletGroup, mode: str, start: int, stop: int) -> _LBlock:
+    """L-polynomials of the characters at flat exponent-lattice positions
+    [start, stop).
+
+    mode "naive": c_n is the sum over the monic units f of degree n < deg Q
+    (their own residues) of chi(f), the phases of the whole block coming
+    from one product of weight vectors and digit rows.  mode "dft": c_n is
+    read out of the cached group-wide Fourier transform.
+    """
+    p = group.ctx.p
+    m = group.Q.degree
+    exps = np.stack(np.unravel_index(np.arange(start, stop), group.orders), axis=1)
+    coeffs = np.zeros((stop - start, m), dtype=complex)
+    if mode == "naive":
+        W = exps * np.array([group.L // d for d in group.orders], dtype=np.int64)
+        for n in range(m):
+            lo, hi = p**n, 2 * p**n
+            digs = group.digits[lo:hi][group.pos[lo:hi] >= 0]
+            coeffs[:, n] = group.exp_table[(W @ digs.T) % group.L].sum(axis=1)
+    else:
+        for n, tab in enumerate(group.dft_tables()):
+            coeffs[:, n] = np.conj(tab.reshape(-1)[start:stop])
+    nonzero = ~(np.abs(coeffs) < COEFF_TOL)
+    nonzero[:, 0] = True
+    degree = m - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+
+    even, prim = (f.reshape(-1)[start:stop] for f in group.character_flags())
+    nontrivial = exps.any(axis=1)
+    trim = prim & even & (degree > 0)  # drop the trivial zero at u = 1
+    n_angles = np.where(prim, degree - trim, -1)
+    roots = np.full((stop - start, m - 1), np.nan, dtype=complex)
+    angles = np.full((stop - start, m - 1), np.nan)
+    for D in range(1, m):
+        rows = np.flatnonzero((degree == D) & nontrivial)
+        if rows.size == 0:
+            continue
+        rr = _inverse_roots(coeffs[rows, : D + 1])
+        roots[rows, :D] = rr
+        # a removed trivial zero becomes NaN, which sorts past the kept angles
+        t = np.flatnonzero(trim[rows])
+        rr[t, np.argmin(np.abs(rr[t] - 1.0), axis=1)] = np.nan
+        angles[rows, :D] = _unitary_angles(rr, p)
+    for arr in (coeffs, roots, angles):
+        arr.flags.writeable = False
+    return _LBlock(coeffs, degree, roots, angles, n_angles)
+
+
 def l_polynomial(chi: DirichletCharacter, mode: str = "naive") -> LPolynomial:
     """The L-polynomial of a nontrivial character.
 
-    mode "naive": per-character sums c_n = sum over monic f of degree
-    n < deg Q coprime to Q of chi(f) (such f are their own residues).
-    mode "dft": read the same coefficients out of the group-wide Fourier
-    transform (computed once per group and cached).
+    mode "naive": c_n = sum over monic f of degree n < deg Q coprime to Q
+    of chi(f) (such f are their own residues).  mode "dft": the same
+    coefficients read out of the group-wide Fourier transform (computed once
+    per group and cached).
+
+    The result is looked up in the group's L-table for the mode.  A miss
+    fills the block of `max(1, _LTABLE_CELLS // q^(deg Q - 1))` characters
+    holding chi, in flat exponent-tuple order: its coefficients, its inverse
+    roots (batched per degree) and its angles.  A call therefore costs at
+    most one block, never the whole group, and calls for the other
+    characters of the block cost a lookup.  The returned arrays are
+    read-only views into the table.
     """
     if chi.is_trivial:
         raise TrivialCharacter("L is formed for nontrivial characters")
     g = chi.group
-    p = g.ctx.p
-    m = g.Q.degree
-    c = np.zeros(m, dtype=complex)
-    if mode == "naive":
-        w = g.weight_vector(chi.exps)
-        for n in range(m):
-            lo, hi = p**n, 2 * p**n
-            posn = g.pos[lo:hi]
-            mask = posn >= 0
-            if not mask.any():
-                continue
-            t = (g.digits[lo:hi][mask] @ w) % g.L
-            c[n] = g.exp_table[t].sum()
-    elif mode == "dft":
-        tabs = g.dft_tables()
-        for n in range(m):
-            c[n] = np.conj(tabs[n][chi.exps])
-    else:
+    table = g._l_tables.get(mode)
+    if table is None:
         raise ValueError(f"unknown mode {mode!r}")
-    D = m - 1
-    while D > 0 and abs(c[D]) < COEFF_TOL:
-        D -= 1
-    coeffs = c[: D + 1]
-    roots = _inverse_roots(coeffs)
-    angles = None
-    if chi.is_primitive:
-        rr = roots
-        if chi.is_even and D > 0:
-            k = int(np.argmin(np.abs(rr - 1.0)))
-            rr = np.delete(rr, k)
-        angles = np.sort(np.angle(rr / math.sqrt(p)) % (2 * math.pi))
-    return LPolynomial(character=chi, coeffs=coeffs, inverse_roots=roots,
-                       angles=angles)
+    b, i = divmod(int(np.ravel_multi_index(chi.exps, g.orders)), g._l_block_size)
+    block = table.get(b)
+    if block is None:
+        start = b * g._l_block_size
+        block = table[b] = _l_block(g, mode, start, min(g.phi, start + g._l_block_size))
+    D, na = block.degree[i], block.n_angles[i]
+    return LPolynomial(character=chi, coeffs=block.coeffs[i, : D + 1],
+                       inverse_roots=block.inverse_roots[i, :D],
+                       angles=None if na < 0 else block.angles[i, :na])
 
 
 # weighted character sums ---------------------------------------------------------
@@ -586,7 +670,7 @@ def frobenius_angles_even_primitive(group: DirichletGroup) -> np.ndarray:
     q = group.ctx.p
     if m < 3:
         raise PreconditionError("need deg Q >= 3 for a nonempty spectrum")
-    even, prim = _lattice_flags(group)
+    even, prim = group.character_flags()
     sel = even & prim
     tabs = group.dft_tables()
     C = int(sel.sum())
@@ -598,20 +682,9 @@ def frobenius_angles_even_primitive(group: DirichletGroup) -> np.ndarray:
     if np.abs(full[:, m - 1]).max() > 1e-6:
         raise RootFindingDidNotConverge("trivial zero removal residual too large")
     tilde = full[:, : m - 1]
-    tilde = tilde / tilde[:, :1]
-    D = m - 2
-    comp = np.zeros((C, D, D), dtype=complex)
-    comp[:, 0, :] = -tilde[:, 1:]
-    comp[:, np.arange(1, D), np.arange(0, D - 1)] = 1.0
-    primary = np.linalg.eigvals(comp)
-    check = _dk_roots(tilde)
-    worst = 0.0
-    for i in range(C):
-        worst = max(worst, _match_roots(primary[i], check[i]))
-        if worst > ROOT_TOL:
-            raise RootFindingDidNotConverge(
-                "companion-matrix and Durand-Kerner roots disagree")
-    return np.sort(np.angle(primary / math.sqrt(q)) % (2 * math.pi), axis=1)
+    # _inverse_roots divides by c_0 again; dividing here first settles the
+    # signs of zero entries, on which the eigenvalues' last bits depend
+    return _unitary_angles(_inverse_roots(tilde / tilde[:, :1]), q)
 
 
 def katz_average(N: int, q: int, statistic, samples: int = 100_000,

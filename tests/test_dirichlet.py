@@ -9,17 +9,20 @@ from fqx.errors import (
     BudgetExceeded,
     NotEvenPrimitive,
     PreconditionError,
+    RootFindingDidNotConverge,
     TrivialCharacter,
     UnsupportedModulusShape,
 )
 from fqx.field import make_field
 from fqx.polyring import Poly, is_irreducible, poly_from_string
-from fqx import rmt
+from fqx import dirichlet, rmt
 from fqx.dirichlet import (
+    ROOT_TOL,
     DirichletCharacter,
     build_unit_group,
     char_eval,
     explicit_formula_check,
+    frobenius_angles_even_primitive,
     generating_identity_error,
     katz_average,
     l_polynomial,
@@ -205,6 +208,126 @@ class TestLPolynomials:
         chi = next(c for c in list_characters(G)
                    if not c.is_trivial and not c.is_primitive)
         assert l_polynomial(chi).angles is None
+
+
+def _l_table(q, m, mode):
+    G = build_unit_group(Poly.monomial(make_field(q), m))
+    return {chi.exps: l_polynomial(chi, mode=mode)
+            for chi in list_characters(G) if not chi.is_trivial}
+
+
+class TestLTable:
+    @pytest.mark.parametrize("q,m", [(5, 4), (3, 5)])
+    @pytest.mark.parametrize("mode", ["naive", "dft"])
+    def test_block_boundaries(self, monkeypatch, q, m, mode):
+        # blocks of 1 and of 7 characters (7 divides neither phi) give the
+        # same table as one block for the whole group
+        default = _l_table(q, m, mode)
+        for cells in (40, 7 * q ** (m - 1)):
+            monkeypatch.setattr(dirichlet, "_LTABLE_CELLS", cells)
+            small = _l_table(q, m, mode)
+            assert small.keys() == default.keys()
+            for exps, lp in small.items():
+                ref = default[exps]
+                assert np.array_equal(lp.coeffs, ref.coeffs)
+                assert np.array_equal(lp.inverse_roots, ref.inverse_roots)
+                assert (lp.angles is None) == (ref.angles is None)
+                if lp.angles is not None:
+                    assert np.array_equal(lp.angles, ref.angles)
+
+    def test_one_call_fills_one_block(self, monkeypatch):
+        fills = []
+        fill = dirichlet._l_block
+
+        def counted(group, mode, start, stop):
+            fills.append((start, stop))
+            return fill(group, mode, start, stop)
+
+        monkeypatch.setattr(dirichlet, "_l_block", counted)
+        G = build_unit_group(Poly.monomial(make_field(13), 4))
+        size = max(1, dirichlet._LTABLE_CELLS // 13**3)
+        assert size < G.phi
+        chi = DirichletCharacter(G, (5, 3, 7, 2))
+        flat = int(np.ravel_multi_index(chi.exps, G.orders))
+        l_polynomial(chi)
+        [(start, stop)] = fills
+        assert stop - start == size and start <= flat < stop
+        neighbour = np.unravel_index(start if flat != start else stop - 1, G.orders)
+        l_polynomial(DirichletCharacter(G, tuple(int(c) for c in neighbour)))
+        assert len(fills) == 1
+        l_polynomial(chi, mode="dft")
+        assert len(fills) == 2
+
+    def test_returned_arrays_read_only(self):
+        G = build_unit_group(Poly.monomial(make_field(5), 4))
+        chi = next(c for c in list_characters(G, "even_primitive"))
+        lp = l_polynomial(chi)
+        for arr in (lp.coeffs, lp.inverse_roots, lp.angles):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_batched_check_covers_every_row(self, monkeypatch):
+        dk = dirichlet._dk_roots
+
+        def perturbed(rows, *args, **kwargs):
+            z = dk(rows, *args, **kwargs)
+            assert z.shape[0] >= 3  # a many-row batch
+            z[z.shape[0] // 2, 0] += 1e-3
+            return z
+
+        monkeypatch.setattr(dirichlet, "_dk_roots", perturbed)
+        G = build_unit_group(Poly.monomial(make_field(5), 4))
+        chi = next(c for c in list_characters(G, "even_primitive"))
+        with pytest.raises(RootFindingDidNotConverge):
+            l_polynomial(chi)
+        with pytest.raises(RootFindingDidNotConverge):
+            frobenius_angles_even_primitive(G)
+
+    def test_degree_zero_rows_skip_root_finding(self, monkeypatch):
+        dk = dirichlet._dk_roots
+        widths = []
+
+        def recorded(rows, *args, **kwargs):
+            widths.append(rows.shape[1])
+            return dk(rows, *args, **kwargs)
+
+        monkeypatch.setattr(dirichlet, "_dk_roots", recorded)
+        # mod x every L is 1; mod x^3 the characters of conductor x have L = 1
+        for m in (1, 3):
+            G = build_unit_group(Poly.monomial(make_field(5), m))
+            ones = 0
+            for chi in list_characters(G):
+                if chi.is_trivial:
+                    continue
+                lp = l_polynomial(chi)
+                if lp.degree == 0:
+                    ones += 1
+                    assert lp.inverse_roots.shape == (0,)
+                    assert lp.inverse_roots.dtype == complex
+                    assert lp.angles is None or lp.angles.shape == (0,)
+            assert ones == 3
+        assert widths and min(widths) >= 2
+
+    def test_naive_table_against_scalar_reference(self):
+        from fqx.ensembles import enumerate_monic
+
+        q, m = 7, 4
+        ctx = make_field(q)
+        G = build_unit_group(Poly.monomial(ctx, m))
+        chars = [c for c in list_characters(G) if not c.is_trivial]
+        monic = [list(enumerate_monic(ctx, n)) for n in range(m)]
+        rng = np.random.default_rng(2015)
+        for i in rng.choice(len(chars), size=12, replace=False):
+            chi = chars[i]
+            lp = l_polynomial(chi, mode="naive")
+            want = np.array([sum(char_eval(chi, f) for f in monic[n]) for n in range(m)])
+            assert np.abs(lp.coeffs - want[: lp.degree + 1]).max() < 1e-9
+            assert np.abs(want[lp.degree + 1 :]).max(initial=0.0) < 1e-9
+            ref = np.roots(lp.coeffs)
+            assert lp.inverse_roots.shape == ref.shape
+            if ref.size:
+                d = np.abs(ref[:, None] - lp.inverse_roots[None, :])
+                assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= ROOT_TOL
 
 
 class TestMSums:
