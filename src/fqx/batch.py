@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import PreconditionError
 from .field import FieldCtx
 
 
@@ -81,8 +82,16 @@ def mul_by_x_mod(g: np.ndarray, f_low: np.ndarray, p: int) -> np.ndarray:
 
 def block_mulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray, p: int) -> np.ndarray:
     """a*b mod f rowwise; a, b of shape (rows, n), moduli x^n + f_low with
-    f_low of shape (n,) or (rows, n)."""
+    f_low of shape (n,) or (rows, n).
+
+    Every int64 accumulator holds at most n products below p^2 (added, or
+    subtracted by the folds), so the result is exact while n (p-1)^2 < 2^63;
+    past that PreconditionError is raised rather than a wrapped row returned.
+    """
     rows, n = a.shape
+    if n * (int(p) - 1) ** 2 >= 1 << 63:
+        raise PreconditionError(
+            f"block_mulmod needs n (p-1)^2 < 2^63, got n={n}, p={p}")
     # coefficient-major, so each x^k is one contiguous vector: numpy takes
     # x - x // p * p (x % p for p > 0) several times faster than x % p, but
     # only on contiguous data

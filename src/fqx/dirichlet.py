@@ -11,7 +11,7 @@ The basis construction is candidate-then-verify: for x^m the candidate
 1-unit generators are 1 + x^j (p not dividing j) with orders p^ceil(log_p(m/j)),
 for squarefree Q the CRT factors are cyclic with seeded generator search;
 the discrete-log enumeration then proves the candidate is a basis (any
-collision or undercount raises).
+collision raises; the orders multiply to the group order by construction).
 
 L-polynomials are computed per unit group, not per character: each group
 keeps one lazily filled L-table per mode ("naive", "dft").  The table fills
@@ -20,9 +20,10 @@ exponent tuples) at a time, `max(1, _LTABLE_CELLS // q^(deg Q - 1))`
 characters per block, so the transients of one block (the characters x
 residues phase matrix and its roots of unity) stay near 1.5 MiB whatever
 the group size.  A block's polynomials are grouped by degree and each group's
-inverse roots come from one stacked eigenvalue call, checked row by row
-against one batched Durand-Kerner run; the Katz spectra use the same
-batched root finder.
+inverse roots come from one call of `rmt._poly_roots`, a batched
+Durand-Kerner iteration with per-row convergence, checked row by row by
+rebuilding the coefficients from the roots; the Katz spectra use the same
+root finder.
 """
 
 from __future__ import annotations
@@ -116,11 +117,14 @@ class DirichletGroup:
                                           self.q_low, p)
                 blocks.append(_batch.block_index(cur, p))
             indices = np.concatenate(blocks)
-        if indices.size != self.phi or np.unique(indices).size != self.phi:
-            raise UnsupportedModulusShape(
-                "candidate basis failed verification (collision or undercount)")
+        # indices holds prod(orders) = phi entries; a collision leaves some
+        # position overwritten by a later one
+        enum = np.arange(self.phi, dtype=np.int64)
         pos = np.full(p**m, -1, dtype=np.int64)
-        pos[indices] = np.arange(self.phi, dtype=np.int64)
+        pos[indices] = enum
+        if not np.array_equal(pos[indices], enum):
+            raise UnsupportedModulusShape(
+                "candidate basis failed verification (collision)")
         self.pos = pos
 
         r = len(orders)
@@ -352,50 +356,24 @@ class LPolynomial:
         return complex(np.polyval(self.coeffs[::-1], u))
 
 
-def _dk_roots(coeff_rows: np.ndarray, iters: int = 400, tol: float = 1e-13) -> np.ndarray:
-    """Durand-Kerner roots of monic-normalized rows [1, a_1, .., a_D]
-    (descending powers); deterministic spiral start."""
-    rows, w = coeff_rows.shape
-    D = w - 1
-    c = coeff_rows / coeff_rows[:, :1]
-    z = (0.4 + 0.9j) ** np.arange(1, D + 1)
-    z = np.broadcast_to(z, (rows, D)).copy()
-    eye = np.eye(D, dtype=bool)
-    for _ in range(iters):
-        pz = np.broadcast_to(c[:, :1], (rows, D)).astype(complex)
-        for j in range(1, D + 1):
-            pz = pz * z + c[:, j : j + 1]
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, eye] = 1.0
-        denom = diff.prod(axis=2)
-        step = pz / denom
-        z -= step
-        if np.max(np.abs(step)) < tol:
-            break
-    return z
-
-
-def _match_roots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the Hausdorff-style max nearest-neighbor distance between
-    the root multisets a[i] and b[i]."""
-    d = np.abs(a[:, :, None] - b[:, None, :])
-    return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
-
-
 def _inverse_roots(rows: np.ndarray) -> np.ndarray:
     """Inverse roots of L(u) = sum c_j u^j for coefficient rows of one
-    degree D >= 1: roots of the reversed polynomials, the eigenvalues of the
-    companion matrices np.roots builds, each row checked against
-    Durand-Kerner."""
-    count, D = rows.shape[0], rows.shape[1] - 1
-    comp = np.zeros((count, D, D), dtype=complex)
-    comp[:, 0, :] = -rows[:, 1:] / rows[:, :1]
-    comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
-    primary = np.linalg.eigvals(comp)
-    if not (_match_roots(primary, _dk_roots(rows)) <= ROOT_TOL).all():
+    degree D >= 1: the roots of the reversed polynomials c_0 z^D + .. + c_D,
+    from the batched root finder.  Each row is checked by rebuilding its
+    coefficients from its roots: the backward error must be at most
+    ROOT_TOL times the row's largest coefficient, a bound that also holds at
+    repeated roots, where no route gets the roots themselves past about
+    1e-8."""
+    roots = _rmt._poly_roots(rows)
+    rebuilt = np.zeros(rows.shape, dtype=complex)
+    rebuilt[:, 0] = rows[:, 0]
+    for k in range(roots.shape[1]):
+        rebuilt[:, 1 : k + 2] -= roots[:, k : k + 1] * rebuilt[:, : k + 1]
+    err = np.abs(rebuilt - rows).max(axis=1)
+    if not (err <= ROOT_TOL * np.abs(rows).max(axis=1)).all():
         raise RootFindingDidNotConverge(
-            "companion-matrix and Durand-Kerner roots disagree")
-    return primary
+            "inverse roots do not rebuild their L-polynomial coefficients")
+    return roots
 
 
 def _unitary_angles(roots: np.ndarray, p: int) -> np.ndarray:
@@ -681,10 +659,7 @@ def frobenius_angles_even_primitive(group: DirichletGroup) -> np.ndarray:
     full = np.cumsum(coeffs, axis=1)
     if np.abs(full[:, m - 1]).max() > 1e-6:
         raise RootFindingDidNotConverge("trivial zero removal residual too large")
-    tilde = full[:, : m - 1]
-    # _inverse_roots divides by c_0 again; dividing here first settles the
-    # signs of zero entries, on which the eigenvalues' last bits depend
-    return _unitary_angles(_inverse_roots(tilde / tilde[:, :1]), q)
+    return _unitary_angles(_inverse_roots(full[:, : m - 1]), q)
 
 
 def katz_average(N: int, q: int, statistic, samples: int = 100_000,

@@ -70,7 +70,10 @@ class NotEvenPrimitive(PreconditionError):
 
 
 class RootFindingDidNotConverge(FqxError):
-    """Companion-matrix and Durand-Kerner roots disagree beyond tolerance."""
+    """Roots fail their per-row check: Haar eigenvalues whose power sums
+    miss the traces of U, L-function inverse roots that do not rebuild the
+    coefficients within tolerance, or an even L-polynomial that does not
+    vanish at u = 1."""
 
 
 class NotCoprime(PreconditionError):

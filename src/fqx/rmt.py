@@ -4,6 +4,12 @@ Only eigenphases are kept: every statistic used here is a class function.
 Monte Carlo estimates always carry a standard error; closed forms are exact
 combinatorics.  Sampling batches are cached by (N, samples, seed) so that
 several integrals over the same ensemble reuse one set of spectra.
+
+Eigenphases come from the characteristic polynomial, not from a per-matrix
+eigenvalue call: the traces of the powers of U give its coefficients by
+Newton's identities, and `_poly_roots`, a batched Durand-Kerner iteration,
+gives its roots.  `dirichlet` finds the inverse roots of L-polynomials with
+the same root finder.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormNotAvailable, PreconditionError
+from .errors import ClosedFormNotAvailable, PreconditionError, RootFindingDidNotConverge
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,18 +35,95 @@ class UnitarySpectrum:
         return np.exp(1j * self.angles)
 
 
+# rows per QR-to-roots sub-block of _haar_angles: keeps the QR factors and
+# the root finder's vectors to a few hundred KiB each
+_HAAR_BLOCK = 4096
+
+
+def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """(rows, D) roots of the polynomials whose coefficient rows (rows, D+1)
+    run from the highest power down, leading entries nonzero.
+
+    Durand-Kerner from a fixed spiral start, z_k <- z_k - f(z_k) /
+    prod_{j != k} (z_k - z_j), each z_k updated in place (Gauss-Seidel
+    order) and held as one contiguous vector over the rows.  A row is frozen
+    at the iteration where its own largest step falls below 1e-13, so its
+    roots do not depend on the rows batched with it.  Rows still moving
+    after 400 iterations (near repeated roots the iteration crawls) are
+    returned as they stand: callers check every row.
+    """
+    rows, D = coeffs.shape[0], coeffs.shape[1] - 1
+    a = np.ascontiguousarray((coeffs[:, 1:] / coeffs[:, :1]).T)
+    z = np.repeat(((0.4 + 0.9j) ** np.arange(1, D + 1))[:, None], rows, axis=1)
+    out = np.empty((D, rows), dtype=complex)
+    live = np.arange(rows)
+    for _ in range(400):
+        if live.size == 0:
+            break
+        big = np.zeros(live.size)
+        for k in range(D):
+            zk = z[k]
+            fz = zk + a[0]
+            for j in range(1, D):
+                fz = fz * zk + a[j]
+            den = 1.0
+            for j in range(D):
+                if j != k:
+                    den = den * (zk - z[j])
+            step = fz / den
+            zk -= step
+            np.maximum(big, np.abs(step), out=big)
+        done = big < 1e-13
+        if done.any():
+            out[:, live[done]] = z[:, done]
+            z, a, live = z[:, ~done], a[:, ~done], live[~done]
+    out[:, live] = z
+    return out.T
+
+
+def _power_traces(u: np.ndarray) -> np.ndarray:
+    """(count, N) traces tr U^j, j = 1..N, of a (count, N, N) stack: the
+    powers up to ceil(N/2) by matmul, then tr U^(a+b) = sum U^a * (U^b)^T."""
+    N = u.shape[-1]
+    pw = [u]
+    while 2 * len(pw) < N:
+        pw.append(pw[-1] @ u)
+    out = np.empty((u.shape[0], N), dtype=complex)
+    for j in range(1, N + 1):
+        a, b = (j + 1) // 2, j // 2
+        out[:, j - 1] = (np.einsum("nii->n", pw[a - 1]) if b == 0
+                         else np.einsum("nij,nji->n", pw[a - 1], pw[b - 1]))
+    return out
+
+
 def _haar_angles(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, N) eigenphase rows of Haar unitaries.
 
     Ginibre then QR; the R-diagonal phase correction makes QR sampling
-    exactly Haar rather than merely approximately invariant.
+    exactly Haar rather than merely approximately invariant.  The
+    eigenvalues are the roots of det(z - U) = sum_j (-1)^j e_j z^(N-j), with
+    e_j from tr U^j by Newton's identities; a row whose root power sums miss
+    its traces by more than 1e-9 N raises RootFindingDidNotConverge.  QR and
+    root finding run on sub-blocks of `_HAAR_BLOCK` rows.
     """
     z = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (d / np.abs(d))[:, None, :]
-    return np.angle(np.linalg.eigvals(q)) % TWO_PI
+    sign = (-1.0) ** np.arange(N + 1)
+    out = np.empty((count, N))
+    for lo in range(0, count, _HAAR_BLOCK):
+        q, r = np.linalg.qr(z[lo : lo + _HAAR_BLOCK])
+        d = np.diagonal(r, axis1=1, axis2=2)
+        u = q * (d / np.abs(d))[:, None, :]
+        traces = _power_traces(u)
+        roots = _poly_roots(elementary_from_power(traces, N) * sign)
+        zj = roots.copy()
+        for j in range(N):
+            if not (np.abs(zj.sum(axis=1) - traces[:, j]) <= 1e-9 * N).all():
+                raise RootFindingDidNotConverge(
+                    f"Haar eigenvalues miss tr U^{j + 1} by more than {1e-9 * N:g}")
+            zj *= roots
+        out[lo : lo + u.shape[0]] = np.angle(roots) % TWO_PI
+    return out
 
 
 def haar_spectrum(N: int, rng: np.random.Generator) -> UnitarySpectrum:
@@ -152,8 +235,7 @@ class PowerTraceSquared:
         self.j = j
 
     def batch(self, angles: np.ndarray) -> np.ndarray:
-        p = power_sums(angles, self.j)[..., -1]
-        return np.abs(p) ** 2
+        return np.abs(np.exp(1j * (self.j * angles)).sum(axis=-1)) ** 2
 
     def __call__(self, spec: UnitarySpectrum) -> float:
         return float(self.batch(spec.angles[None, :])[0])

@@ -5,6 +5,7 @@ import pytest
 
 from fqx import batch
 from fqx.ensembles import index_to_monic
+from fqx.errors import PreconditionError
 from fqx.field import make_field
 from fqx.polyring import (
     Poly,
@@ -60,6 +61,26 @@ def test_modular_kernels(q, n):
         assert row_poly(ctx, xq[i], monic=False) == powmod(x, q, f)
         for d, g in enumerate(frob, start=1):
             assert row_poly(ctx, g[i], monic=False) == powmod(x, q**d, f)
+
+
+def test_mulmod_refuses_int64_overflow():
+    # block_mulmod accumulates n products below p^2 in int64: exact while
+    # n (p-1)^2 < 2^63, refused past it rather than wrapped
+    q = 46337
+    ctx = make_field(q)
+    F = rand_block(q, 3, 4, seed=1)
+    xq = batch.x_power_q_mod(F, q)
+    for i in range(4):
+        want = powmod(Poly.x(ctx), q, row_poly(ctx, F[i]))
+        assert row_poly(ctx, xq[i], monic=False) == want
+    q = 2**31 - 1
+    F = rand_block(q, 3, 4, seed=1)
+    with pytest.raises(PreconditionError):
+        batch.x_power_q_mod(F, q)
+    with pytest.raises(PreconditionError):
+        batch.block_mulmod(F, F, F, q)
+    # the bound is n (p-1)^2 < 2^63, not (p-1)^2 < 2^63
+    assert 3 * (q - 1) ** 2 >= 2**63 > (q - 1) ** 2
 
 
 @pytest.mark.parametrize("q", [3, 7, 31])

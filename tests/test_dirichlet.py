@@ -74,6 +74,17 @@ class TestGroupConstruction:
         with pytest.raises(UnsupportedModulusShape):
             build_unit_group(Q)
 
+    def test_duplicated_generator_rejected(self):
+        # a repeated basis element enumerates each unit twice: the collision
+        # check must catch it even though the enumeration has phi entries
+        G = build_unit_group(Poly.monomial(make_field(5), 4))
+        gens, orders = list(G.generators), list(G.orders)
+        with pytest.raises(UnsupportedModulusShape):
+            dirichlet.DirichletGroup(G.Q, G.shape, gens + gens[-1:],
+                                     orders + orders[-1:], G.scalar_root)
+        same = dirichlet.DirichletGroup(G.Q, G.shape, gens, orders, G.scalar_root)
+        assert np.array_equal(same.pos, G.pos)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             build_unit_group(Poly.monomial(make_field(101), 6), budget=10**6)
@@ -267,15 +278,15 @@ class TestLTable:
                 arr[0] = 0
 
     def test_batched_check_covers_every_row(self, monkeypatch):
-        dk = dirichlet._dk_roots
+        find = rmt._poly_roots
 
-        def perturbed(rows, *args, **kwargs):
-            z = dk(rows, *args, **kwargs)
+        def perturbed(rows):
+            z = np.array(find(rows))
             assert z.shape[0] >= 3  # a many-row batch
             z[z.shape[0] // 2, 0] += 1e-3
             return z
 
-        monkeypatch.setattr(dirichlet, "_dk_roots", perturbed)
+        monkeypatch.setattr(rmt, "_poly_roots", perturbed)
         G = build_unit_group(Poly.monomial(make_field(5), 4))
         chi = next(c for c in list_characters(G, "even_primitive"))
         with pytest.raises(RootFindingDidNotConverge):
@@ -284,14 +295,14 @@ class TestLTable:
             frobenius_angles_even_primitive(G)
 
     def test_degree_zero_rows_skip_root_finding(self, monkeypatch):
-        dk = dirichlet._dk_roots
+        find = rmt._poly_roots
         widths = []
 
-        def recorded(rows, *args, **kwargs):
+        def recorded(rows):
             widths.append(rows.shape[1])
-            return dk(rows, *args, **kwargs)
+            return find(rows)
 
-        monkeypatch.setattr(dirichlet, "_dk_roots", recorded)
+        monkeypatch.setattr(rmt, "_poly_roots", recorded)
         # mod x every L is 1; mod x^3 the characters of conductor x have L = 1
         for m in (1, 3):
             G = build_unit_group(Poly.monomial(make_field(5), m))
@@ -307,6 +318,44 @@ class TestLTable:
                     assert lp.angles is None or lp.angles.shape == (0,)
             assert ones == 3
         assert widths and min(widths) >= 2
+
+    def test_repeated_roots_pass_backward_check(self, monkeypatch):
+        # (z - sqrt5)^2 (z + sqrt5): every route gets the double root only
+        # to about 1e-8, but the rebuilt coefficients are within ROOT_TOL
+        s5 = math.sqrt(5.0)
+        row = np.array([[1.0, -s5, -5.0, 5 * s5]], dtype=complex)
+        roots = dirichlet._inverse_roots(row)[0]
+        assert np.abs(np.sort_complex(roots) - [-s5, s5, s5]).max() < 1e-6
+        find = rmt._poly_roots
+
+        def perturbed(rows):
+            z = np.array(find(rows))
+            z[0, 0] += 1e-3
+            return z
+
+        monkeypatch.setattr(rmt, "_poly_roots", perturbed)
+        with pytest.raises(RootFindingDidNotConverge):
+            dirichlet._inverse_roots(row)
+
+    def test_roots_match_companion_eigenvalues(self):
+        # the root finder against LAPACK on the companion matrices, over
+        # every even primitive character mod x^5, q = 7: to 1e-12 where a
+        # row's roots are 1e-4 apart, to ROOT_TOL at (near) repeated roots
+        G = build_unit_group(Poly.monomial(make_field(7), 5))
+        rows = np.array([l_polynomial(c).coeffs for c in list_characters(G, "even_primitive")])
+        got = dirichlet._inverse_roots(rows)
+        D = rows.shape[1] - 1
+        comp = np.zeros((rows.shape[0], D, D), dtype=complex)
+        comp[:, 0, :] = -rows[:, 1:] / rows[:, :1]
+        comp[:, np.arange(1, D), np.arange(D - 1)] = 1.0
+        want = np.linalg.eigvals(comp)
+        d = np.abs(got[:, :, None] - want[:, None, :])
+        dist = np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
+        gaps = np.abs(want[:, :, None] - want[:, None, :]) + np.eye(D) * 1e9
+        simple = gaps.min(axis=(1, 2)) >= 1e-4
+        assert simple.sum() > rows.shape[0] // 2
+        assert dist[simple].max() < 1e-12
+        assert dist.max() <= ROOT_TOL
 
     def test_naive_table_against_scalar_reference(self):
         from fqx.ensembles import enumerate_monic

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fqx.errors import ClosedFormNotAvailable, PreconditionError
+from fqx.errors import ClosedFormNotAvailable, PreconditionError, RootFindingDidNotConverge
 from fqx import rmt
 
 
@@ -28,6 +28,41 @@ class TestSpectra:
         dplus = np.max(np.arange(1, n + 1) / n - xs)
         dminus = np.max(xs - np.arange(0, n) / n)
         assert max(dplus, dminus) * math.sqrt(n) < 1.63
+
+    def test_sub_block_size_does_not_change_samples(self, monkeypatch):
+        # each row's roots depend on that row alone, so QR and root finding
+        # in sub-blocks of 7 rows give the same bytes as the default size
+        default = rmt.sample_angles(3, 2000, 17).copy()
+        rmt._ANGLE_CACHE.clear()
+        monkeypatch.setattr(rmt, "_HAAR_BLOCK", 7)
+        small = rmt.sample_angles(3, 2000, 17)
+        assert small.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_angles_match_eigenvalues(self, N):
+        # the same Ginibre draws and QR as _haar_angles, then LAPACK
+        count = 300
+        rng = np.random.default_rng(N)
+        z = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+        z /= math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        want = np.linalg.eigvals(q * (d / np.abs(d))[:, None, :])
+        got = np.exp(1j * rmt._haar_angles(N, count, np.random.default_rng(N)))
+        dist = np.abs(got[:, :, None] - want[:, None, :])
+        assert max(dist.min(axis=2).max(), dist.min(axis=1).max()) < 1e-12
+
+    def test_every_row_checked_against_traces(self, monkeypatch):
+        find = rmt._poly_roots
+
+        def perturbed(rows):
+            z = np.array(find(rows))
+            z[z.shape[0] // 2, 0] *= np.exp(1e-6j)
+            return z
+
+        monkeypatch.setattr(rmt, "_poly_roots", perturbed)
+        with pytest.raises(RootFindingDidNotConverge):
+            rmt._haar_angles(4, 50, np.random.default_rng(3))
 
     def test_mean_trace_vanishes(self):
         ang = rmt.sample_angles(4, 100_000, 6)
