@@ -12,6 +12,14 @@ The basis construction is candidate-then-verify: for x^m the candidate
 for squarefree Q the CRT factors are cyclic with seeded generator search;
 the discrete-log enumeration then proves the candidate is a basis (any
 collision raises; the orders multiply to the group order by construction).
+The enumeration multiplies by one fixed generator at a time, with work only
+for its nonzero terms (`_mul_fixed`).
+
+Character sums M(n; w chi) = sum over M_n of w(f) chi(f) have one route:
+`weighted_character_sums` bins the weights over M_n by discrete log and
+takes one Fourier transform over the exponent lattice, which gives the sum
+for every character at once.  The lattice is cached on the group per
+(n, weight, k), and `m_sum` reads one entry of it.
 
 L-polynomials are computed per unit group, not per character: each group
 keeps one lazily filled L-table per mode ("naive", "dft").  The table fills
@@ -82,7 +90,8 @@ class DirichletGroup:
         are zero and must be masked via pos)
 
     Cached on first use: the coefficient lattices of `dft_tables()`, the
-    (even, primitive) flag lattices of `character_flags()`, and one L-table
+    (even, primitive) flag lattices of `character_flags()`, the M(n; w chi)
+    lattices of `weighted_character_sums` per (n, weight, k), and one L-table
     per mode, filled one block of `max(1, _LTABLE_CELLS // q^(m-1))`
     characters at a time by `l_polynomial`; a block holds the coefficient,
     inverse-root and angle rows of its characters, and filling it takes
@@ -107,15 +116,11 @@ class DirichletGroup:
         # enumerate the subgroup generated by the candidate basis
         indices = np.array([1], dtype=np.int64)  # residue index of 1
         for G, d in zip(gens, orders):
-            gc = np.zeros(m, dtype=np.int64)
-            for j, c in enumerate(G.coeffs):
-                gc[j] = c
             blocks = [indices]
-            cur = _batch.index_rows(indices, m, p)
+            cur = np.ascontiguousarray(_batch.index_rows(indices, m, p).T)
             for _ in range(d - 1):
-                cur = _batch.block_mulmod(cur, np.broadcast_to(gc, cur.shape),
-                                          self.q_low, p)
-                blocks.append(_batch.block_index(cur, p))
+                cur = _mul_fixed(cur, G.coeffs, self.q_low, p)
+                blocks.append(_batch.block_index(cur.T, p))
             indices = np.concatenate(blocks)
         # indices holds prod(orders) = phi entries; a collision leaves some
         # position overwritten by a later one
@@ -139,6 +144,7 @@ class DirichletGroup:
         self._dft = None
         self._kernel_digits = None
         self._flags = None
+        self._sums: dict[tuple[int, str, int], np.ndarray] = {}
         self._l_block_size = max(1, _LTABLE_CELLS // p ** (m - 1))
         self._l_tables: dict[str, dict[int, _LBlock]] = {"naive": {}, "dft": {}}
 
@@ -183,6 +189,26 @@ class DirichletGroup:
         if self._flags is None:
             self._flags = _lattice_flags(self)
         return self._flags
+
+
+def _mul_fixed(cur: np.ndarray, g, q_low: np.ndarray, p: int) -> np.ndarray:
+    """Coefficient-major residues cur (m, count) times the fixed polynomial
+    g (coefficients lowest first, deg g < m) mod x^m + q_low.  Only nonzero
+    terms cost work: one scaled, shifted add per term of g and one fold per
+    term of q_low, which suits the generators (a constant, 1 + x^j, a CRT
+    lift) and x^m, whose q_low is zero."""
+    m, count = cur.shape
+    acc = np.zeros((m + len(g) - 1, count), dtype=np.int64)
+    for j, c in enumerate(g):
+        if c:
+            acc[j : j + m] += c * cur
+    fold = np.flatnonzero(q_low)
+    for k in range(acc.shape[0] - 1, m - 1, -1):  # x^k = -x^(k-m) q_low
+        t = acc[k] - acc[k] // p * p
+        for i in fold:
+            acc[k - m + i] -= q_low[i] * t
+    out = acc[:m]
+    return out - out // p * p
 
 
 def build_unit_group(Q: Poly, seed: int = 0, budget: int = 10**8) -> DirichletGroup:
@@ -378,7 +404,7 @@ def _inverse_roots(rows: np.ndarray) -> np.ndarray:
 
 def _unitary_angles(roots: np.ndarray, p: int) -> np.ndarray:
     """Sorted eigenphases in [0, 2 pi) of the rows of roots / sqrt(p)."""
-    return np.sort(np.angle(roots / math.sqrt(p)) % (2 * math.pi), axis=1)
+    return np.sort(_rmt._phases(roots / math.sqrt(p)), axis=1)
 
 
 class _LBlock(NamedTuple):
@@ -525,44 +551,43 @@ def m_sum(n: int, chi: DirichletCharacter, weight: str = "unit", k: int = 2,
           budget: int | None = 10**8) -> complex:
     """M(n; w chi) = sum over monic f of degree n of w(f) chi(f).
 
-    weight: unit | mobius | von_mangoldt | divisor_k (with k).
+    weight: unit | mobius | von_mangoldt | divisor_k (with k).  A lookup in
+    the group's lattice of `weighted_character_sums`, so every character of
+    a group shares one transform per (n, weight, k).
     """
-    g = chi.group
-    p = g.ctx.p
-    if budget is not None and p**n > budget:
-        raise BudgetExceeded(f"q^n = {p**n} exceeds budget {budget}")
-    res = _monic_residue_indices(g, n)
-    posn = g.pos[res]
-    mask = posn >= 0
-    w = g.weight_vector(chi.exps)
-    t = (g.digits[res[mask]] @ w) % g.L
-    vals = g.exp_table[t]
-    wt = _weights_over_monic(g.ctx, n, weight, k)
-    if wt is not None:
-        vals = vals * wt[mask]
-    return complex(vals.sum())
+    return complex(weighted_character_sums(chi.group, n, weight, k, budget)[chi.exps])
 
 
 def weighted_character_sums(group: DirichletGroup, n: int, weight: str = "unit",
                             k: int = 2, budget: int | None = 10**8) -> np.ndarray:
-    """M(n; w chi) for every character at once: lattice indexed by exponent
-    tuples, computed by one weighted Fourier transform over the unit group."""
+    """M(n; w chi) for every character at once: a read-only lattice indexed
+    by exponent tuples, from one weighted Fourier transform over the unit
+    group.  The lattice is computed once per (n, weight, k) and cached on
+    the group; the budget is checked before any work."""
     p = group.ctx.p
     if budget is not None and p**n > budget:
         raise BudgetExceeded(f"q^n = {p**n} exceeds budget {budget}")
-    return np.conj(_character_fft(group, n, _weights_over_monic(group.ctx, n, weight, k)))
+    key = (n, weight, k)
+    sums = group._sums.get(key)
+    if sums is None:
+        sums = _character_fft(group, n, _weights_over_monic(group.ctx, n, weight, k))
+        np.conjugate(sums, out=sums)
+        sums.flags.writeable = False
+        group._sums[key] = sums
+    return sums
 
 
 def _character_fft(group: DirichletGroup, n: int, wt: np.ndarray | None) -> np.ndarray:
-    """fftn over the exponent lattice of the weights wt over M_n (None means
-    all ones); entry [c] is conj(sum of wt(f) chi_c(f) over f in M_n)."""
+    """fftn over the exponent lattice (shape `group.orders`) of the weights
+    wt over M_n (None means all ones); entry [c] is conj(sum of wt(f)
+    chi_c(f) over f in M_n)."""
     res = _monic_residue_indices(group, n)
     mask = group.pos[res] >= 0
     digs = group.digits[res[mask]]
     w = wt[mask] if wt is not None else np.ones(int(mask.sum()))
     W = np.zeros(group.orders if group.orders else (1,), dtype=complex)
     np.add.at(W, tuple(digs.T) if group.orders else (np.zeros(digs.shape[0], int),), w)
-    return np.fft.fftn(W)
+    return np.fft.fftn(W).reshape(group.orders)
 
 
 def explicit_formula_check(n: int, chi: DirichletCharacter,

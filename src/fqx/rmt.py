@@ -5,11 +5,15 @@ Monte Carlo estimates always carry a standard error; closed forms are exact
 combinatorics.  Sampling batches are cached by (N, samples, seed) so that
 several integrals over the same ensemble reuse one set of spectra.
 
-Eigenphases come from the characteristic polynomial, not from a per-matrix
-eigenvalue call: the traces of the powers of U give its coefficients by
-Newton's identities, and `_poly_roots`, a batched Durand-Kerner iteration,
-gives its roots.  `dirichlet` finds the inverse roots of L-polynomials with
-the same root finder.
+Haar samples make no per-matrix LAPACK call.  Each block of Ginibre
+matrices is held column-major over the block (one contiguous vector per
+matrix entry), orthonormalized there by Gram-Schmidt applied twice with R's
+diagonal positive, and raised to the powers up to ceil(N/2) for the traces
+tr U^j.  The eigenphases come from the characteristic polynomial: Newton's
+identities turn the traces into its coefficients, and `_poly_roots`, a
+batched Durand-Kerner iteration, gives its roots.  `dirichlet` finds the
+inverse roots of L-polynomials with the same root finder.  Phases are
+returned in [0, 2 pi).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class UnitarySpectrum:
         return np.exp(1j * self.angles)
 
 
-# rows per QR-to-roots sub-block of _haar_angles: keeps the QR factors and
+# rows per sub-block of _haar_angles: keeps the unitaries, their powers and
 # the root finder's vectors to a few hundred KiB each
 _HAAR_BLOCK = 4096
 
@@ -81,40 +85,72 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _power_traces(u: np.ndarray) -> np.ndarray:
-    """(count, N) traces tr U^j, j = 1..N, of a (count, N, N) stack: the
-    powers up to ceil(N/2) by matmul, then tr U^(a+b) = sum U^a * (U^b)^T."""
-    N = u.shape[-1]
+def _phases(z: np.ndarray) -> np.ndarray:
+    """Arguments of z in [0, 2 pi): np.angle(z) % 2 pi is exactly 2 pi for
+    z a rounding error below the positive real axis, and that folds to 0."""
+    a = np.angle(z) % TWO_PI
+    a[a == TWO_PI] = 0.0
+    return a
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """The unitary factors U of Z = U R with R's diagonal real and positive
+    (the Haar phase convention), for a (count, N, N) stack of Ginibre
+    matrices, returned column-major over the stack: u[k, i, c] = U_c[i, k],
+    so each column is one contiguous (N, count) block.
+
+    Classical Gram-Schmidt applied twice per column, each pass projecting
+    out all earlier columns at once; the second pass restores orthogonality
+    to rounding level.  Dividing by the column norm makes R_kk > 0.
+    """
+    u = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for k in range(u.shape[0]):
+        v = u[k]
+        for _ in range(2 if k else 0):
+            prev = u[:k]
+            c = (prev.conj() * v).sum(axis=1)
+            v -= (prev * c[:, None, :]).sum(axis=0)
+        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+    return u
+
+
+def _unitary_traces(u: np.ndarray) -> np.ndarray:
+    """(count, N) traces tr U^j, j = 1..N, of a column-major stack u (as
+    from `_haar_unitaries`): the powers up to ceil(N/2) column by column,
+    then tr U^(a+b) = sum_(i,k) U^a[i,k] U^b[k,i]."""
+    N = u.shape[0]
     pw = [u]
     while 2 * len(pw) < N:
-        pw.append(pw[-1] @ u)
-    out = np.empty((u.shape[0], N), dtype=complex)
+        prev = pw[-1]
+        nxt = np.empty_like(u)
+        for k in range(N):  # column k of prev @ u
+            nxt[k] = (prev * u[k][:, None, :]).sum(axis=0)
+        pw.append(nxt)
+    out = np.empty((u.shape[2], N), dtype=complex)
     for j in range(1, N + 1):
-        a, b = (j + 1) // 2, j // 2
-        out[:, j - 1] = (np.einsum("nii->n", pw[a - 1]) if b == 0
-                         else np.einsum("nij,nji->n", pw[a - 1], pw[b - 1]))
+        a, b = pw[(j + 1) // 2 - 1], j // 2
+        out[:, j - 1] = (np.diagonal(a).sum(axis=1) if b == 0
+                         else (a * pw[b - 1].transpose(1, 0, 2)).sum(axis=(0, 1)))
     return out
 
 
 def _haar_angles(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, N) eigenphase rows of Haar unitaries.
 
-    Ginibre then QR; the R-diagonal phase correction makes QR sampling
-    exactly Haar rather than merely approximately invariant.  The
-    eigenvalues are the roots of det(z - U) = sum_j (-1)^j e_j z^(N-j), with
-    e_j from tr U^j by Newton's identities; a row whose root power sums miss
-    its traces by more than 1e-9 N raises RootFindingDidNotConverge.  QR and
-    root finding run on sub-blocks of `_HAAR_BLOCK` rows.
+    Ginibre draws, then per sub-block of `_HAAR_BLOCK` rows the unitary
+    factor with positive R-diagonal (`_haar_unitaries`), which makes the
+    sample exactly Haar rather than merely approximately invariant
+    (Mezzadri, Notices AMS 2007).  The eigenvalues are the roots of
+    det(z - U) = sum_j (-1)^j e_j z^(N-j), with e_j from tr U^j by Newton's
+    identities; a row whose root power sums miss its traces by more than
+    1e-9 N raises RootFindingDidNotConverge.  No step calls LAPACK.
     """
     z = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
     z /= math.sqrt(2.0)
     sign = (-1.0) ** np.arange(N + 1)
     out = np.empty((count, N))
     for lo in range(0, count, _HAAR_BLOCK):
-        q, r = np.linalg.qr(z[lo : lo + _HAAR_BLOCK])
-        d = np.diagonal(r, axis1=1, axis2=2)
-        u = q * (d / np.abs(d))[:, None, :]
-        traces = _power_traces(u)
+        traces = _unitary_traces(_haar_unitaries(z[lo : lo + _HAAR_BLOCK]))
         roots = _poly_roots(elementary_from_power(traces, N) * sign)
         zj = roots.copy()
         for j in range(N):
@@ -122,7 +158,7 @@ def _haar_angles(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
                 raise RootFindingDidNotConverge(
                     f"Haar eigenvalues miss tr U^{j + 1} by more than {1e-9 * N:g}")
             zj *= roots
-        out[lo : lo + u.shape[0]] = np.angle(roots) % TWO_PI
+        out[lo : lo + roots.shape[0]] = _phases(roots)
     return out
 
 

@@ -85,6 +85,23 @@ class TestGroupConstruction:
         same = dirichlet.DirichletGroup(G.Q, G.shape, gens, orders, G.scalar_root)
         assert np.array_equal(same.pos, G.pos)
 
+    @pytest.mark.parametrize("q,s", [(5, "0,0,0,0,1"), (3, "0,2,0,1"), (7, "3,0,1,1")])
+    def test_sparse_step_matches_dense_mulmod(self, q, s):
+        # rows times one fixed polynomial, against the dense block_mulmod,
+        # for x^m and squarefree moduli and factors of every sparsity
+        from fqx import batch
+
+        Q = _poly(q, s)
+        m, q_low = Q.degree, np.array(Q.coeffs[:Q.degree], dtype=np.int64)
+        rng = np.random.default_rng(q)
+        rows = rng.integers(0, q, size=(200, m))
+        for g in ([2], [1, 0, 1], [0, 0, 1], list(rng.integers(0, q, size=m)), [0] * m):
+            gc = np.zeros(m, dtype=np.int64)
+            gc[: len(g)] = g
+            want = batch.block_mulmod(rows, np.broadcast_to(gc, rows.shape), q_low, q)
+            got = dirichlet._mul_fixed(np.ascontiguousarray(rows.T), g, q_low, q)
+            assert np.array_equal(got.T, want)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             build_unit_group(Poly.monomial(make_field(101), 6), budget=10**6)
@@ -438,12 +455,78 @@ class TestMSums:
         with pytest.raises(BudgetExceeded):
             m_sum(12, chi, budget=10**6)
 
+    def test_budget_checked_before_any_binning(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        for name in ("_character_fft", "_monic_residue_indices", "_weights_over_monic"):
+            monkeypatch.setattr(dirichlet, name, never)
+        G = build_unit_group(Poly.monomial(make_field(5), 3))
+        chi = next(iter(list_characters(G)))
+        with pytest.raises(BudgetExceeded):
+            m_sum(12, chi, weight="mobius", budget=10**6)
+        with pytest.raises(BudgetExceeded):
+            weighted_character_sums(G, 12, budget=10**6)
+        assert G._sums == {}
+
     def test_bulk_matches_single(self):
-        G = build_unit_group(Poly.monomial(make_field(5), 4))
-        for weight in ("unit", "mobius"):
+        # the lattice against the scalar sum of char_eval over M_3
+        from fqx.ensembles import enumerate_monic
+        from fqx.polyring import mobius
+
+        ctx = make_field(5)
+        G = build_unit_group(Poly.monomial(ctx, 4))
+        monic = list(enumerate_monic(ctx, 3))
+        for weight, fn in (("unit", lambda f: 1), ("mobius", mobius)):
             W = weighted_character_sums(G, 3, weight=weight)
             for chi in list(list_characters(G))[::37]:
-                assert abs(W[chi.exps] - m_sum(3, chi, weight=weight)) < 1e-9
+                direct = sum(fn(f) * char_eval(chi, f) for f in monic)
+                assert abs(W[chi.exps] - direct) < 1e-9
+                assert abs(m_sum(3, chi, weight=weight) - direct) < 1e-9
+
+    def test_one_transform_per_key(self, monkeypatch):
+        # every character of a group reads one cached, read-only lattice per
+        # (n, weight, k); a new group starts empty
+        calls = []
+        fft = dirichlet._character_fft
+
+        def counted(group, n, wt):
+            calls.append(n)
+            return fft(group, n, wt)
+
+        monkeypatch.setattr(dirichlet, "_character_fft", counted)
+        G = build_unit_group(Poly.monomial(make_field(3), 3))
+        keys = [(n, w, k) for n in (0, 2, 4) for w, k in
+                (("unit", 2), ("mobius", 2), ("divisor_k", 2), ("divisor_k", 3))]
+        for _ in range(2):
+            for chi in list_characters(G):
+                for n, w, k in keys:
+                    m_sum(n, chi, weight=w, k=k)
+        assert len(calls) == len(keys)
+        W = weighted_character_sums(G, 2, weight="mobius")
+        assert len(calls) == len(keys) and not W.flags.writeable
+        H = build_unit_group(Poly.monomial(make_field(3), 3))
+        m_sum(2, next(iter(list_characters(H))), weight="mobius")
+        assert len(calls) == len(keys) + 1
+
+    @pytest.mark.parametrize("q,s", [(2, "0,1"), (3, "0,2,0,1"), (3, "0,1,0,1")])
+    def test_trivial_and_squarefree_groups_against_scalar(self, q, s):
+        # x over F_2 has the trivial group only (no basis at all); x^3 - x
+        # and x^3 + x over F_3 are squarefree, with a quadratic factor in
+        # the second
+        from fqx.ensembles import enumerate_monic
+        from fqx.polyring import mobius, von_mangoldt, divisor_k
+
+        ctx = make_field(q)
+        G = build_unit_group(_poly(q, s))
+        for weight, fn in (("unit", lambda f: 1), ("mobius", mobius),
+                           ("von_mangoldt", von_mangoldt),
+                           ("divisor_k", lambda f: divisor_k(f, 3))):
+            for n in range(5):
+                monic = list(enumerate_monic(ctx, n))
+                for chi in list_characters(G):
+                    direct = sum(fn(f) * char_eval(chi, f) for f in monic)
+                    assert abs(m_sum(n, chi, weight=weight, k=3) - direct) < 1e-9
 
 
 class TestExplicitFormula:
@@ -500,6 +583,17 @@ class TestKatz:
     def test_second_power_trace(self):
         emp, _ = katz_average(3, 11, rmt.PowerTraceSquared(2), samples=1000)
         assert abs(emp - 2.0) < 0.35
+
+    def test_angles_in_half_open_circle(self):
+        # a root at angle -1e-17 has the eigenphase 0, not 2 pi; a removed
+        # trivial zero (NaN) still sorts last
+        p = 11
+        roots = math.sqrt(p) * np.exp(np.array([[-1e-17j, 0.5j, np.nan]]))
+        ang = dirichlet._unitary_angles(roots, p)
+        assert ang[0, 0] == 0.0 and ang[0, 1] == 0.5 and np.isnan(ang[0, 2])
+        ang = frobenius_angles_even_primitive(build_unit_group(Poly.monomial(make_field(p), 5)))
+        assert ((ang >= 0) & (ang < 2 * np.pi)).all()
+        assert (ang[:, 0] == 0.0).any()
 
 
 class TestDeterminism:

@@ -38,7 +38,7 @@ class TestSpectra:
         small = rmt.sample_angles(3, 2000, 17)
         assert small.tobytes() == default.tobytes()
 
-    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("N", range(1, 13))
     def test_angles_match_eigenvalues(self, N):
         # the same Ginibre draws and QR as _haar_angles, then LAPACK
         count = 300
@@ -51,6 +51,36 @@ class TestSpectra:
         got = np.exp(1j * rmt._haar_angles(N, count, np.random.default_rng(N)))
         dist = np.abs(got[:, :, None] - want[:, None, :])
         assert max(dist.min(axis=2).max(), dist.min(axis=1).max()) < 1e-12
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_unitary_factor(self, N):
+        # Z = U R with U unitary and R upper triangular, real positive diagonal,
+        # also where the last column nearly repeats the first (condition
+        # ~1e7), which one Gram-Schmidt pass leaves far from orthogonal
+        rng = np.random.default_rng(100 + N)
+        z = rng.standard_normal((500, N, N)) + 1j * rng.standard_normal((500, N, N))
+        if N > 1:
+            z[:50, :, -1] = z[:50, :, 0] + 1e-7 * z[:50, :, -1]
+        u = rmt._haar_unitaries(z).transpose(2, 1, 0)
+        uh = np.conj(u.transpose(0, 2, 1))
+        assert np.abs(uh @ u - np.eye(N)).max() <= 1e-13
+        r = uh @ z
+        d = np.diagonal(r, axis1=1, axis2=2)
+        assert (d.real > 0).all()
+        assert np.abs(d.imag).max() <= 1e-13 * np.abs(z).max()
+        assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(z).max()
+
+    def test_phases_fold_two_pi(self):
+        # a root a rounding error below the positive real axis has the
+        # phase 0, not 2 pi, which `angle % 2 pi` gives
+        z = np.exp(np.array([-1e-17j, 0j, 1j * np.pi, -1e-3j]))
+        assert (np.angle(z) % (2 * np.pi))[0] == 2 * np.pi
+        got = rmt._phases(z)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[2] == np.pi and got[3] == 2 * np.pi - 1e-3
+        for N, seed in ((1, 5), (3, 163), (4, 6)):
+            ang = rmt.sample_angles(N, 100_000, seed)
+            assert ((ang >= 0) & (ang < 2 * np.pi)).all()
 
     def test_every_row_checked_against_traces(self, monkeypatch):
         find = rmt._poly_roots
